@@ -13,18 +13,15 @@ from .graph import (
     FunctionalTopology,
     InputFormatError,
     SamplingPolicy,
-    SubgraphView,
     average_degree,
     average_path_length,
     build_topology,
     clustering_coefficient,
     diameter,
-    enumerate_subgraphs,
     is_connected,
     reachability_count,
     read_edge_list,
     sample_stream,
-    subgraph_view,
     write_edge_list,
 )
 from .complexity import (
@@ -33,7 +30,6 @@ from .complexity import (
     binary_entropy,
     functional_complexity,
     mean_information,
-    subgraph_information,
 )
 from .entropy import (
     DEFAULT_TEMPLATE,
@@ -83,18 +79,15 @@ __all__ = [
     "FunctionalTopology",
     "InputFormatError",
     "SamplingPolicy",
-    "SubgraphView",
     "average_degree",
     "average_path_length",
     "build_topology",
     "clustering_coefficient",
     "diameter",
-    "enumerate_subgraphs",
     "is_connected",
     "reachability_count",
     "read_edge_list",
     "sample_stream",
-    "subgraph_view",
     "write_edge_list",
     # complexity
     "ComplexityProfile",
@@ -102,7 +95,6 @@ __all__ = [
     "binary_entropy",
     "functional_complexity",
     "mean_information",
-    "subgraph_information",
     # entropy
     "DEFAULT_TEMPLATE",
     "EntropyProfile",

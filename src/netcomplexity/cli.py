@@ -6,6 +6,11 @@ with a structured summary block in comment lines.  Re-running a command with
 the same flags reproduces the file byte for byte; the worker count is a pure
 throughput knob and is deliberately left out of the header.
 
+Each subcommand's parameters are declared once, in COMMANDS: the table
+gives the flags, the keys a --config file may set, the type and choice
+checks applied to flag and config values alike, and the parameter block of
+the header.
+
 Exit codes: 0 success, 1 unreadable/unparsable input, 2 violated
 precondition or invalid configuration.
 """
@@ -15,9 +20,12 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -25,9 +33,17 @@ from . import __version__
 from .abm import LIGHT_POLICIES, MACS, ScenarioConfig, run_scenario
 from .complexity import functional_complexity
 from .entropy import NeighborhoodTemplate, estimate_excess_entropy
-from .graph import InputFormatError, SamplingPolicy, read_edge_list, sample_stream
+from .graph import (
+    SAMPLING_MODES,
+    InputFormatError,
+    SamplingPolicy,
+    read_edge_list,
+    sample_stream,
+)
 from .harness import ENSEMBLE_KINDS, METRIC_FIELDS, EnsembleSpec, correlation_report
 from .lattice import (
+    BOUNDARIES,
+    NEIGHBORHOODS,
     ChannelLattice,
     centralized_allocate,
     conflict_count,
@@ -37,15 +53,273 @@ from .lattice import (
     write_lattice,
 )
 
-SAMPLING_MODES = ("exhaustive", "uniform-sample")
-NEIGHBORHOODS = ("moore", "von-neumann")
-BOUNDARIES = ("toroidal", "bounded")
 ALLOCATORS = ("son", "centralized")
 GENERATORS = ("son", "iid")
 
 
 # ---------------------------------------------------------------------------
+# parameter types: each takes a flag or JSON config value and returns the
+# resolved value, or raises ValueError saying what it expected
+
+
+def _integer(value):
+    # JSON true/false load as Python bools, which are ints
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise ValueError("an integer")
+
+
+def _number(value) -> float:
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        return float(value)
+    raise ValueError("a number")
+
+
+def _text(value) -> str:
+    if isinstance(value, str):
+        return value
+    raise ValueError("a string")
+
+
+def _switch(value) -> bool:
+    if isinstance(value, bool):
+        return value
+    raise ValueError("true or false")
+
+
+def _dims(value) -> str:
+    """Lattice size as 'WxH', normalised to lowercase and plain integers."""
+    try:
+        width, height = (int(part) for part in value.lower().split("x"))
+    except (AttributeError, ValueError):
+        raise ValueError("a WxH string such as 8x8") from None
+    return f"{width}x{height}"
+
+
+def _seeds(value) -> list[int]:
+    """A list of integers, or text: '1..30' inclusive range, '3,7,9' list,
+    '5' single seed."""
+    try:
+        if isinstance(value, str):
+            lo, dots, hi = value.partition("..")
+            if dots:
+                seeds = list(range(int(lo), int(hi) + 1))
+            else:
+                seeds = [int(tok) for tok in value.split(",") if tok.strip()]
+        elif isinstance(value, list):
+            seeds = [_integer(seed) for seed in value]
+        else:
+            seeds = []
+    except ValueError:
+        seeds = []
+    if not seeds:
+        raise ValueError(
+            "a non-empty list of integers or text like '1..30', '3,7,9' or '5'"
+        )
+    return seeds
+
+
+def _paths(value) -> list[str]:
+    if isinstance(value, list) and all(isinstance(v, str) for v in value):
+        return value
+    raise ValueError("a list of file names")
+
+
+@dataclass(frozen=True)
+class Param:
+    """One subcommand parameter, declared once.
+
+    The flag is --<name> with dashes unless ``flag`` names it; a flag
+    without a leading dash is a positional taking any number of values.  A
+    _switch flag takes no value and sets the opposite of the default.
+    Parameters with config=False are flags only: no config key, not in the
+    provenance header.
+    """
+
+    name: str
+    type: Callable[[object], object]
+    default: object = None
+    help: str | None = None
+    choices: tuple[str, ...] | None = None
+    flag: str | None = None
+    config: bool = True
+    required: bool = False
+    minimum: int | None = None
+
+    def check(self, value):
+        """The resolved value; a ValueError names the parameter.  null is
+        accepted only where the default is null."""
+        if value is None and self.default is None:
+            return None
+        try:
+            resolved = self.type(value)
+        except ValueError as exc:
+            raise ValueError(f"{self.name} must be {exc}, got {value!r}") from None
+        if self.choices is not None and resolved not in self.choices:
+            raise ValueError(
+                f"{self.name} must be one of {', '.join(self.choices)}, "
+                f"got {value!r}"
+            )
+        if self.minimum is not None and resolved < self.minimum:
+            raise ValueError(f"{self.name} must be >= {self.minimum}, got {value!r}")
+        return resolved
+
+    def add_to(self, parser: argparse.ArgumentParser) -> None:
+        # absent flags stay absent, so resolution can tell them from defaults
+        kwargs = {"default": argparse.SUPPRESS, "help": self.help}
+        if self.type is _switch:
+            kwargs.update(action="store_const", const=not self.default)
+        elif self.type is _integer:
+            kwargs["type"] = int
+        elif self.type is _number:
+            kwargs["type"] = float
+        if self.choices is not None:
+            kwargs["choices"] = self.choices
+        if self.required:
+            kwargs["required"] = True
+        flag = self.flag or "--" + self.name.replace("_", "-")
+        if flag.startswith("-"):
+            parser.add_argument(flag, dest=self.name, **kwargs)
+        else:
+            parser.add_argument(self.name, metavar=flag, nargs="*", **kwargs)
+
+
+SHARED = (
+    Param("seed", _integer, 0, "base RNG seed"),
+    Param("out", _text, None, "output file (default: stdout)", config=False),
+    Param("workers", _integer, 1,
+          "parallel workers (>= 1); never affects the output bytes",
+          config=False, minimum=1),
+    Param("config", _text, None, "JSON parameter file", config=False),
+)
+
+
+def _with_shared(*params: Param) -> tuple[Param, ...]:
+    """params, then the shared flags; a param named like a shared one takes
+    its place."""
+    own = {p.name: p for p in params}
+    shared = tuple(own.pop(p.name, p) for p in SHARED)
+    return (*own.values(), *shared)
+
+
+_MAX_SWEEPS = Param("max_sweeps", _integer, 10_000)
+_NEIGHBORHOOD = Param("neighborhood", _text, "moore", choices=tuple(NEIGHBORHOODS))
+_SAMPLING = (
+    Param("mode", _text, "exhaustive", choices=SAMPLING_MODES),
+    Param("samples", _integer, 10_000, "subset draws per sampled size"),
+    Param("limit", _integer, 100_000,
+          "max subsets per size before sampling kicks in"),
+)
+_ALLOCATION = (
+    Param("channels", _integer, 5),
+    _NEIGHBORHOOD,
+    Param("boundary", _text, "toroidal", choices=BOUNDARIES),
+    Param("allocator", _text, "son", choices=ALLOCATORS),
+)
+
+# name -> (help, parameters in flag order); cmd_<name> runs the subcommand
+COMMANDS = {
+    "cfc": ("functional complexity of one graph", _with_shared(
+        Param("graph", _text, None, "edge-list file"),
+        *_SAMPLING,
+    )),
+    "son-stability": ("repair-distance experiment", _with_shared(
+        Param("dims", _dims, "8x8", "lattice size WxH"),
+        *_ALLOCATION,
+        Param("instances", _integer, 20, minimum=0),
+        Param("budget", _integer, 8, "deepest repair distance searched"),
+        _MAX_SWEEPS,
+        Param("cell_sample", _integer, None,
+              "perturb only this many cells per instance"),
+        Param("channel_sample", _integer, None,
+              "force only this many channels per cell"),
+    )),
+    "excess-entropy": ("spatial structure of lattices", _with_shared(
+        Param("lattices", _paths, (), "lattice files", flag="lattice"),
+        Param("generate", _text, None,
+              "generate sample lattices instead of reading files",
+              choices=GENERATORS),
+        Param("dims", _dims, "32x32", "generated lattice size WxH"),
+        Param("channels", _integer, 4),
+        Param("count", _integer, 10, "number of generated lattices"),
+        _NEIGHBORHOOD,
+        _MAX_SWEEPS,
+        Param("mmax", _integer, 4, "deepest context size"),
+        Param("radius", _integer, 2, "context template radius"),
+        Param("tolerance", _number, 0.01,
+              "convergence tolerance on the entropy-rate tail"),
+    )),
+    "abm": ("intersection traffic over a shared channel", _with_shared(
+        Param("iterations", _integer, 2000),
+        Param("mac", _text, "aloha", choices=MACS),
+        Param("ideal_channel", _switch, False, "shorthand for --mac ideal",
+              config=False),
+        Param("arrival_probability", _number, 0.5),
+        Param("road_length", _integer, 20),
+        Param("green_period", _integer, 20),
+        Param("light_policy", _text, "fixed", choices=LIGHT_POLICIES),
+        Param("min_green", _integer, 5),
+        Param("persistence", _number, 1.0, "per-slot transmission probability"),
+        Param("message_duration", _integer, 1, "slots one report occupies"),
+        Param("slots_per_iteration", _integer, 1),
+        Param("seeds", _seeds, None,
+              "seed list: '1..30', '3,7,9', or one integer"),
+    )),
+    "correlate": ("complexity vs classical metrics", _with_shared(
+        Param("kind", _text, "erdos-renyi", choices=ENSEMBLE_KINDS),
+        Param("nodes", _integer, 10),
+        Param("graphs", _integer, 200),
+        Param("edge_probability", _number, None),
+        Param("ring_degree", _integer, None),
+        Param("rewiring_probability", _number, None),
+        Param("attachment_count", _integer, None),
+        Param("connected_only", _switch, True,
+              "keep disconnected graphs in the ensemble",
+              flag="--no-connected-filter"),
+        *_SAMPLING,
+        Param("seed", _integer, 11, "base RNG seed"),
+    )),
+    "son-run": ("run one allocation, write the lattice", _with_shared(
+        Param("dims", _dims, "10x10", "lattice size WxH"),
+        *_ALLOCATION,
+        _MAX_SWEEPS,
+        Param("out", _text, None, "output file", config=False, required=True),
+    )),
+}
+
+
+# ---------------------------------------------------------------------------
 # shared plumbing
+
+
+def _resolve(args) -> dict:
+    """The config parameters of args.command, each taken from its flag, else
+    the --config file, else its default, and checked.  Flag-only parameters
+    are checked and set on args."""
+    table = COMMANDS[args.command][1]
+    flags = vars(args)
+    config = _load_config(flags.get("config"))
+    unknown = sorted(set(config) - {p.name for p in table if p.config})
+    if unknown:
+        raise ValueError(f"unknown config keys: {', '.join(unknown)}")
+    params = {}
+    for p in table:
+        if p.name in flags:
+            value = p.check(flags[p.name])
+        elif p.config and p.name in config:
+            value = p.check(config[p.name])
+        else:
+            value = p.default
+        if p.config:
+            params[p.name] = value
+        else:
+            setattr(args, p.name, value)
+    return params
+
+
+def _width_height(dims: str) -> tuple[int, int]:
+    width, height = (int(part) for part in dims.split("x"))
+    return width, height
 
 
 def _fmt(value) -> str:
@@ -88,9 +362,15 @@ def _emit(fh, header_lines, columns, rows, summary_lines=()) -> None:
 
 
 @contextmanager
-def _mapper(workers: int):
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+def _mapper(workers: int, tasks: int):
+    """map, or a process pool's map with at most one worker per task and CPU.
+
+    The size is clamped before the pool exists: under the fork start method
+    the pool forks all max_workers processes at its first submit.
+    """
+    size = min(workers, tasks, os.cpu_count() or 1)
+    if size > 1:
+        with ProcessPoolExecutor(max_workers=size) as pool:
             yield pool.map
     else:
         yield map
@@ -109,49 +389,12 @@ def _load_config(path: str | None) -> dict:
     return data
 
 
-def _check_keys(config: dict, allowed) -> None:
-    unknown = sorted(set(config) - set(allowed))
-    if unknown:
-        raise ValueError(f"unknown config keys: {', '.join(unknown)}")
-
-
-def _resolve(flag_value, config: dict, key: str, default):
-    """Precedence: explicit flag, then config file, then default."""
-    if flag_value is not None:
-        return flag_value
-    if key in config:
-        return config[key]
-    return default
-
-
-def _parse_dims(text: str) -> tuple[int, int]:
-    parts = text.lower().split("x")
-    try:
-        if len(parts) != 2:
-            raise ValueError
-        width, height = int(parts[0]), int(parts[1])
-    except ValueError:
-        raise ValueError(f"dims must look like WxH, got {text!r}") from None
-    return width, height
-
-
-def _parse_seeds(text: str) -> list[int]:
-    """'1..30' inclusive range, '3,7,9' list, '5' single seed."""
-    if ".." in text:
-        lo_text, hi_text = text.split("..", 1)
-        lo, hi = int(lo_text), int(hi_text)
-        if hi < lo:
-            raise ValueError(f"empty seed range {text!r}")
-        return list(range(lo, hi + 1))
-    seeds = [int(tok) for tok in text.split(",") if tok.strip()]
-    if not seeds:
-        raise ValueError(f"no seeds in {text!r}")
-    return seeds
-
-
-def _policy(mode: str, samples: int, limit: int, seed: int) -> SamplingPolicy:
+def _policy(params: dict) -> SamplingPolicy:
     return SamplingPolicy(
-        mode=mode, sample_count=samples, exhaustive_limit=limit, seed=seed
+        mode=params["mode"],
+        sample_count=params["samples"],
+        exhaustive_limit=params["limit"],
+        seed=params["seed"],
     )
 
 
@@ -160,18 +403,12 @@ def _policy(mode: str, samples: int, limit: int, seed: int) -> SamplingPolicy:
 
 
 def cmd_cfc(args) -> int:
-    config = _load_config(args.config)
-    _check_keys(config, ("graph", "mode", "samples", "limit", "seed"))
-    graph_path = _resolve(args.graph, config, "graph", None)
-    if graph_path is None:
+    params = _resolve(args)
+    if params["graph"] is None:
         raise ValueError("no graph file given (use --graph or a config file)")
-    mode = _resolve(args.mode, config, "mode", "exhaustive")
-    samples = int(_resolve(args.samples, config, "samples", 10_000))
-    limit = int(_resolve(args.limit, config, "limit", 100_000))
-    seed = int(_resolve(args.seed, config, "seed", 0))
 
-    g = read_edge_list(graph_path)
-    profile = functional_complexity(g, policy=_policy(mode, samples, limit, seed))
+    g = read_edge_list(params["graph"])
+    profile = functional_complexity(g, policy=_policy(params))
     if profile.degenerate:
         print(
             "warning: graph diameter is 1, so there are no usable scales; "
@@ -179,13 +416,6 @@ def cmd_cfc(args) -> int:
             file=sys.stderr,
         )
 
-    params = {
-        "graph": graph_path,
-        "mode": mode,
-        "samples": samples,
-        "limit": limit,
-        "seed": seed,
-    }
     rows = [
         (
             c.scale,
@@ -210,7 +440,7 @@ def cmd_cfc(args) -> int:
     with _output(args.out) as fh:
         _emit(
             fh,
-            _provenance("cfc", params, str(seed)),
+            _provenance("cfc", params, str(params["seed"])),
             (
                 "scale",
                 "size",
@@ -232,57 +462,25 @@ def cmd_cfc(args) -> int:
 
 
 def cmd_son_stability(args) -> int:
-    config = _load_config(args.config)
-    keys = (
-        "dims", "channels", "neighborhood", "boundary", "allocator",
-        "instances", "budget", "max_sweeps", "cell_sample", "channel_sample",
-        "seed",
-    )
-    _check_keys(config, keys)
-    width, height = _parse_dims(_resolve(args.dims, config, "dims", "8x8"))
-    channels = int(_resolve(args.channels, config, "channels", 5))
-    neighborhood = _resolve(args.neighborhood, config, "neighborhood", "moore")
-    boundary = _resolve(args.boundary, config, "boundary", "toroidal")
-    allocator = _resolve(args.allocator, config, "allocator", "son")
-    instances = int(_resolve(args.instances, config, "instances", 20))
-    budget = int(_resolve(args.budget, config, "budget", 8))
-    max_sweeps = int(_resolve(args.max_sweeps, config, "max_sweeps", 10_000))
-    cell_sample = _resolve(args.cell_sample, config, "cell_sample", None)
-    channel_sample = _resolve(args.channel_sample, config, "channel_sample", None)
-    seed = int(_resolve(args.seed, config, "seed", 0))
-    if instances < 0:
-        raise ValueError("instances must be >= 0")
-    if allocator not in ALLOCATORS:
-        raise ValueError(f"unknown allocator {allocator!r}")
-
-    params = {
-        "dims": f"{width}x{height}",
-        "channels": channels,
-        "neighborhood": neighborhood,
-        "boundary": boundary,
-        "allocator": allocator,
-        "instances": instances,
-        "budget": budget,
-        "max_sweeps": max_sweeps,
-        "cell_sample": cell_sample,
-        "channel_sample": channel_sample,
-        "seed": seed,
-    }
+    params = _resolve(args)
     columns = ("instance", "row", "col", "forced_channel", "distance", "exceeded")
-    header = _provenance("son-stability", params, str(seed))
+    header = _provenance("son-stability", params, str(params["seed"]))
 
+    instances = params["instances"]
     if instances == 0:
         with _output(args.out) as fh:
             _emit(fh, header, columns, [])
         return 0
 
-    with _mapper(args.workers) as mapper:
+    width, height = _width_height(params["dims"])
+    with _mapper(args.workers, instances) as mapper:
         study = stability_experiment(
-            allocator, width, height, channels, neighborhood,
-            instance_count=instances, seed=seed, budget=budget,
-            max_sweeps=max_sweeps, boundary=boundary,
-            cell_sample=None if cell_sample is None else int(cell_sample),
-            channel_sample=None if channel_sample is None else int(channel_sample),
+            params["allocator"], width, height, params["channels"],
+            params["neighborhood"], instance_count=instances,
+            seed=params["seed"], budget=params["budget"],
+            max_sweeps=params["max_sweeps"], boundary=params["boundary"],
+            cell_sample=params["cell_sample"],
+            channel_sample=params["channel_sample"],
             mapper=mapper,
         )
     rows = [
@@ -354,58 +552,37 @@ def _generated_lattices(
 
 
 def cmd_excess_entropy(args) -> int:
-    config = _load_config(args.config)
-    keys = (
-        "lattices", "generate", "dims", "channels", "count",
-        "neighborhood", "max_sweeps", "mmax", "radius", "tolerance", "seed",
-    )
-    _check_keys(config, keys)
-    paths = args.lattice if args.lattice else config.get("lattices", [])
-    generator = _resolve(args.generate, config, "generate", None)
-    mmax = int(_resolve(args.mmax, config, "mmax", 4))
-    radius = int(_resolve(args.radius, config, "radius", 2))
-    tolerance = float(_resolve(args.tolerance, config, "tolerance", 0.01))
-    seed = int(_resolve(args.seed, config, "seed", 0))
-
+    params = _resolve(args)
+    paths, generator = params["lattices"], params["generate"]
     if paths and generator:
         raise ValueError("give lattice files or --generate, not both")
-    if generator is not None and generator not in GENERATORS:
-        raise ValueError(f"unknown generator {generator!r}")
 
+    # the header records only the keys of the lattice source in use
+    generator_keys = ("generate", "dims", "channels", "count", "neighborhood",
+                      "max_sweeps")
     if generator:
-        width, height = _parse_dims(_resolve(args.dims, config, "dims", "32x32"))
-        channels = int(_resolve(args.channels, config, "channels", 4))
-        count = int(_resolve(args.count, config, "count", 10))
-        neighborhood = _resolve(args.neighborhood, config, "neighborhood", "moore")
-        max_sweeps = int(_resolve(args.max_sweeps, config, "max_sweeps", 10_000))
-        if count < 1:
+        if params["count"] < 1:
             raise ValueError("count must be >= 1")
+        width, height = _width_height(params["dims"])
         samples = _generated_lattices(
-            generator, width, height, channels, count,
-            neighborhood, seed, max_sweeps,
+            generator, width, height, params["channels"], params["count"],
+            params["neighborhood"], params["seed"], params["max_sweeps"],
         )
-        source = {
-            "generate": generator,
-            "dims": f"{width}x{height}",
-            "channels": channels,
-            "count": count,
-            "neighborhood": neighborhood,
-            "max_sweeps": max_sweeps,
-        }
+        del params["lattices"]
     elif paths:
         samples = [read_lattice(p) for p in paths]
-        source = {"lattices": list(paths)}
+        for key in generator_keys:
+            del params[key]
     else:
         raise ValueError("no lattice source: give files or --generate")
 
-    template = NeighborhoodTemplate.chebyshev(radius)
+    template = NeighborhoodTemplate.chebyshev(params["radius"])
     profile = estimate_excess_entropy(
-        samples, max_context=mmax, template=template, tolerance=tolerance
+        samples, max_context=params["mmax"], template=template,
+        tolerance=params["tolerance"],
     )
     pooled = sum(s.width * s.height for s in samples)
 
-    params = dict(source)
-    params.update({"mmax": mmax, "radius": radius, "tolerance": tolerance, "seed": seed})
     rows = [
         (m, h) for m, h in enumerate(profile.conditional_entropies, start=1)
     ]
@@ -420,7 +597,7 @@ def cmd_excess_entropy(args) -> int:
     with _output(args.out) as fh:
         _emit(
             fh,
-            _provenance("excess-entropy", params, str(seed)),
+            _provenance("excess-entropy", params, str(params["seed"])),
             ("context_depth", "conditional_entropy"),
             rows,
             summary,
@@ -433,49 +610,20 @@ def cmd_excess_entropy(args) -> int:
 
 
 def cmd_abm(args) -> int:
-    config = _load_config(args.config)
-    keys = (
-        "iterations", "mac", "arrival_probability", "road_length",
-        "green_period", "light_policy", "min_green", "persistence",
-        "message_duration", "slots_per_iteration", "seeds", "seed",
-    )
-    _check_keys(config, keys)
-    mac = _resolve(args.mac, config, "mac", "aloha")
+    params = _resolve(args)
     if args.ideal_channel:
-        mac = "ideal"
-    base = {
-        "iterations": int(_resolve(args.iterations, config, "iterations", 2000)),
-        "mac": mac,
-        "arrival_probability": float(
-            _resolve(args.arrival_probability, config, "arrival_probability", 0.5)
-        ),
-        "road_length": int(_resolve(args.road_length, config, "road_length", 20)),
-        "green_period": int(_resolve(args.green_period, config, "green_period", 20)),
-        "light_policy": _resolve(args.light_policy, config, "light_policy", "fixed"),
-        "min_green": int(_resolve(args.min_green, config, "min_green", 5)),
-        "persistence": float(_resolve(args.persistence, config, "persistence", 1.0)),
-        "message_duration": int(
-            _resolve(args.message_duration, config, "message_duration", 1)
-        ),
-        "slots_per_iteration": int(
-            _resolve(args.slots_per_iteration, config, "slots_per_iteration", 1)
-        ),
-    }
-    if args.seeds is not None:
-        seeds = _parse_seeds(args.seeds)
-    elif "seeds" in config:
-        seeds = [int(s) for s in config["seeds"]]
-    else:
-        seeds = [int(_resolve(args.seed, config, "seed", 0))]
-    if not seeds:
-        raise ValueError("empty seed list")
+        params["mac"] = "ideal"
+    # a seed list, from --seeds or the config, wins over the single seed
+    seed = params.pop("seed")
+    if params["seeds"] is None:
+        params["seeds"] = [seed]
+    seeds = params["seeds"]
+    scenario = {key: value for key, value in params.items() if key != "seeds"}
 
-    configs = [ScenarioConfig(**base, seed=s) for s in seeds]
-    with _mapper(args.workers) as mapper:
+    configs = [ScenarioConfig(**scenario, seed=s) for s in seeds]
+    with _mapper(args.workers, len(configs)) as mapper:
         results = list(mapper(run_scenario, configs))
 
-    params = dict(base)
-    params["seeds"] = seeds
     rows = [
         (res.config.seed, rec.iteration, rec.actual, rec.perceived,
          rec.gap, rec.delivered, rec.collisions)
@@ -519,63 +667,24 @@ def cmd_abm(args) -> int:
 
 
 def cmd_correlate(args) -> int:
-    config = _load_config(args.config)
-    keys = (
-        "kind", "nodes", "graphs", "edge_probability", "ring_degree",
-        "rewiring_probability", "attachment_count", "connected_only",
-        "mode", "samples", "limit", "seed",
-    )
-    _check_keys(config, keys)
-    kind = _resolve(args.kind, config, "kind", "erdos-renyi")
-    nodes = int(_resolve(args.nodes, config, "nodes", 10))
-    graphs = int(_resolve(args.graphs, config, "graphs", 200))
-    edge_probability = _resolve(args.edge_probability, config, "edge_probability", None)
-    if kind == "erdos-renyi" and edge_probability is None:
-        edge_probability = 0.35
-    ring_degree = _resolve(args.ring_degree, config, "ring_degree", None)
-    rewiring = _resolve(args.rewiring_probability, config, "rewiring_probability", None)
-    attachment = _resolve(args.attachment_count, config, "attachment_count", None)
-    connected_only = bool(
-        _resolve(
-            False if args.no_connected_filter else None,
-            config, "connected_only", True,
-        )
-    )
-    mode = _resolve(args.mode, config, "mode", "exhaustive")
-    samples = int(_resolve(args.samples, config, "samples", 10_000))
-    limit = int(_resolve(args.limit, config, "limit", 100_000))
-    seed = int(_resolve(args.seed, config, "seed", 11))
+    params = _resolve(args)
+    if params["kind"] == "erdos-renyi" and params["edge_probability"] is None:
+        params["edge_probability"] = 0.35
 
     spec = EnsembleSpec(
-        kind=kind,
-        node_count=nodes,
-        graph_count=graphs,
-        seed=seed,
-        connected_only=connected_only,
-        edge_probability=None if edge_probability is None else float(edge_probability),
-        ring_degree=None if ring_degree is None else int(ring_degree),
-        rewiring_probability=None if rewiring is None else float(rewiring),
-        attachment_count=None if attachment is None else int(attachment),
+        kind=params["kind"],
+        node_count=params["nodes"],
+        graph_count=params["graphs"],
+        seed=params["seed"],
+        connected_only=params["connected_only"],
+        edge_probability=params["edge_probability"],
+        ring_degree=params["ring_degree"],
+        rewiring_probability=params["rewiring_probability"],
+        attachment_count=params["attachment_count"],
     )
-    with _mapper(args.workers) as mapper:
-        report = correlation_report(
-            spec, policy=_policy(mode, samples, limit, seed), mapper=mapper
-        )
+    with _mapper(args.workers, spec.graph_count) as mapper:
+        report = correlation_report(spec, policy=_policy(params), mapper=mapper)
 
-    params = {
-        "kind": kind,
-        "nodes": nodes,
-        "graphs": graphs,
-        "edge_probability": spec.edge_probability,
-        "ring_degree": spec.ring_degree,
-        "rewiring_probability": spec.rewiring_probability,
-        "attachment_count": spec.attachment_count,
-        "connected_only": connected_only,
-        "mode": mode,
-        "samples": samples,
-        "limit": limit,
-        "seed": seed,
-    }
     rows = [
         (
             r.graph_id,
@@ -600,7 +709,7 @@ def cmd_correlate(args) -> int:
     with _output(args.out) as fh:
         _emit(
             fh,
-            _provenance("correlate", params, str(seed)),
+            _provenance("correlate", params, str(params["seed"])),
             (
                 "graph_id",
                 "complexity",
@@ -619,41 +728,20 @@ def cmd_correlate(args) -> int:
 
 
 def cmd_son_run(args) -> int:
-    config = _load_config(args.config)
-    keys = (
-        "dims", "channels", "neighborhood", "boundary", "allocator",
-        "max_sweeps", "seed",
-    )
-    _check_keys(config, keys)
-    width, height = _parse_dims(_resolve(args.dims, config, "dims", "10x10"))
-    channels = int(_resolve(args.channels, config, "channels", 5))
-    neighborhood = _resolve(args.neighborhood, config, "neighborhood", "moore")
-    boundary = _resolve(args.boundary, config, "boundary", "toroidal")
-    allocator = _resolve(args.allocator, config, "allocator", "son")
-    max_sweeps = int(_resolve(args.max_sweeps, config, "max_sweeps", 10_000))
-    seed = int(_resolve(args.seed, config, "seed", 0))
-    if allocator not in ALLOCATORS:
-        raise ValueError(f"unknown allocator {allocator!r}")
-
-    if allocator == "son":
+    params = _resolve(args)
+    width, height = _width_height(params["dims"])
+    channels, neighborhood = params["channels"], params["neighborhood"]
+    boundary, seed = params["boundary"], params["seed"]
+    if params["allocator"] == "son":
         lat, report = son_allocate(
             width, height, channels, neighborhood,
-            seed=seed, max_sweeps=max_sweeps, boundary=boundary,
+            seed=seed, max_sweeps=params["max_sweeps"], boundary=boundary,
         )
         converged, sweeps, conflicts = report.converged, report.sweeps, report.conflicts
     else:
         lat = centralized_allocate(width, height, channels, neighborhood, boundary)
         converged, sweeps, conflicts = True, 0, conflict_count(lat)
 
-    params = {
-        "dims": f"{width}x{height}",
-        "channels": channels,
-        "neighborhood": neighborhood,
-        "boundary": boundary,
-        "allocator": allocator,
-        "max_sweeps": max_sweeps,
-        "seed": seed,
-    }
     # write_lattice prefixes each header line with "# " itself
     header = [line[2:] for line in _provenance("son-run", params, str(seed))]
     header += [
@@ -675,19 +763,6 @@ def cmd_son_run(args) -> int:
 # parser
 
 
-def _add_common(sub, out_required: bool = False) -> None:
-    sub.add_argument("--seed", type=int, default=None, help="base RNG seed")
-    sub.add_argument(
-        "--out", default=None, required=out_required,
-        help="output file (default: stdout)",
-    )
-    sub.add_argument(
-        "--workers", type=int, default=1,
-        help="parallel workers; never affects the output bytes",
-    )
-    sub.add_argument("--config", default=None, help="JSON parameter file")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="netcomplexity",
@@ -698,99 +773,12 @@ def build_parser() -> argparse.ArgumentParser:
         "--version", action="version", version=f"netcomplexity {__version__}"
     )
     subs = parser.add_subparsers(dest="command", required=True)
-
-    p = subs.add_parser("cfc", help="functional complexity of one graph")
-    p.add_argument("--graph", help="edge-list file")
-    p.add_argument("--mode", choices=SAMPLING_MODES, default=None)
-    p.add_argument("--samples", type=int, default=None,
-                   help="subset draws per sampled size")
-    p.add_argument("--limit", type=int, default=None,
-                   help="max subsets per size before sampling kicks in")
-    _add_common(p)
-    p.set_defaults(func=cmd_cfc)
-
-    p = subs.add_parser("son-stability", help="repair-distance experiment")
-    p.add_argument("--dims", default=None, help="lattice size WxH")
-    p.add_argument("--channels", type=int, default=None)
-    p.add_argument("--neighborhood", choices=NEIGHBORHOODS, default=None)
-    p.add_argument("--boundary", choices=BOUNDARIES, default=None)
-    p.add_argument("--allocator", choices=ALLOCATORS, default=None)
-    p.add_argument("--instances", type=int, default=None)
-    p.add_argument("--budget", type=int, default=None,
-                   help="deepest repair distance searched")
-    p.add_argument("--max-sweeps", type=int, default=None)
-    p.add_argument("--cell-sample", type=int, default=None,
-                   help="perturb only this many cells per instance")
-    p.add_argument("--channel-sample", type=int, default=None,
-                   help="force only this many channels per cell")
-    _add_common(p)
-    p.set_defaults(func=cmd_son_stability)
-
-    p = subs.add_parser("excess-entropy", help="spatial structure of lattices")
-    p.add_argument("lattice", nargs="*", help="lattice files")
-    p.add_argument("--generate", choices=GENERATORS, default=None,
-                   help="generate sample lattices instead of reading files")
-    p.add_argument("--dims", default=None, help="generated lattice size WxH")
-    p.add_argument("--channels", type=int, default=None)
-    p.add_argument("--count", type=int, default=None,
-                   help="number of generated lattices")
-    p.add_argument("--neighborhood", choices=NEIGHBORHOODS, default=None)
-    p.add_argument("--max-sweeps", type=int, default=None)
-    p.add_argument("--mmax", type=int, default=None,
-                   help="deepest context size")
-    p.add_argument("--radius", type=int, default=None,
-                   help="context template radius")
-    p.add_argument("--tolerance", type=float, default=None,
-                   help="convergence tolerance on the entropy-rate tail")
-    _add_common(p)
-    p.set_defaults(func=cmd_excess_entropy)
-
-    p = subs.add_parser("abm", help="intersection traffic over a shared channel")
-    p.add_argument("--iterations", type=int, default=None)
-    p.add_argument("--mac", choices=MACS, default=None)
-    p.add_argument("--ideal-channel", action="store_true",
-                   help="shorthand for --mac ideal")
-    p.add_argument("--arrival-probability", type=float, default=None)
-    p.add_argument("--road-length", type=int, default=None)
-    p.add_argument("--green-period", type=int, default=None)
-    p.add_argument("--light-policy", choices=LIGHT_POLICIES, default=None)
-    p.add_argument("--min-green", type=int, default=None)
-    p.add_argument("--persistence", type=float, default=None,
-                   help="per-slot transmission probability")
-    p.add_argument("--message-duration", type=int, default=None,
-                   help="slots one report occupies")
-    p.add_argument("--slots-per-iteration", type=int, default=None)
-    p.add_argument("--seeds", default=None,
-                   help="seed list: '1..30', '3,7,9', or one integer")
-    _add_common(p)
-    p.set_defaults(func=cmd_abm)
-
-    p = subs.add_parser("correlate", help="complexity vs classical metrics")
-    p.add_argument("--kind", choices=ENSEMBLE_KINDS, default=None)
-    p.add_argument("--nodes", type=int, default=None)
-    p.add_argument("--graphs", type=int, default=None)
-    p.add_argument("--edge-probability", type=float, default=None)
-    p.add_argument("--ring-degree", type=int, default=None)
-    p.add_argument("--rewiring-probability", type=float, default=None)
-    p.add_argument("--attachment-count", type=int, default=None)
-    p.add_argument("--no-connected-filter", action="store_true",
-                   help="keep disconnected graphs in the ensemble")
-    p.add_argument("--mode", choices=SAMPLING_MODES, default=None)
-    p.add_argument("--samples", type=int, default=None)
-    p.add_argument("--limit", type=int, default=None)
-    _add_common(p)
-    p.set_defaults(func=cmd_correlate)
-
-    p = subs.add_parser("son-run", help="run one allocation, write the lattice")
-    p.add_argument("--dims", default=None, help="lattice size WxH")
-    p.add_argument("--channels", type=int, default=None)
-    p.add_argument("--neighborhood", choices=NEIGHBORHOODS, default=None)
-    p.add_argument("--boundary", choices=BOUNDARIES, default=None)
-    p.add_argument("--allocator", choices=ALLOCATORS, default=None)
-    p.add_argument("--max-sweeps", type=int, default=None)
-    _add_common(p, out_required=True)
-    p.set_defaults(func=cmd_son_run)
-
+    for name, (summary, table) in COMMANDS.items():
+        sub = subs.add_parser(name, help=summary)
+        for param in table:
+            param.add_to(sub)
+        # looked up when the parser is built, so a wrapped cmd_* is the one run
+        sub.set_defaults(func=globals()["cmd_" + name.replace("-", "_")])
     return parser
 
 

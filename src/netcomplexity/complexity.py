@@ -21,10 +21,8 @@ import numpy as np
 from .graph import (
     FunctionalTopology,
     SamplingPolicy,
-    SubgraphView,
     diameter,
     is_connected,
-    reachability_count,
     sample_stream,
 )
 
@@ -38,15 +36,6 @@ def binary_entropy(p: float) -> float:
     if p == 0.0 or p == 1.0:
         return 0.0
     return -(p * math.log2(p) + (1.0 - p) * math.log2(1.0 - p))
-
-
-def subgraph_information(view: SubgraphView, r: int) -> float:
-    """Information (bits) of one induced subgraph at hop radius r."""
-    j = view.size
-    total = 0.0
-    for n in view.members:
-        total += binary_entropy(reachability_count(view, n, r) / j)
-    return total
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,5 @@
 """Functional topologies: validated graphs, bounded reachability, classical
-metrics, and subgraph enumeration/sampling.
+metrics, the subset sampling policy, and the edge-list file format.
 
 Nodes are dense integer ids 0..N-1.  Undirected edges are stored once as
 (min, max) pairs.  Classical metrics (diameter, average path length,
@@ -16,7 +16,7 @@ import random
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 
 class InputFormatError(ValueError):
@@ -71,27 +71,6 @@ class FunctionalTopology:
         return len(self.undirected_neighbors[n])
 
 
-@dataclass(frozen=True)
-class SubgraphView:
-    """An induced subgraph: a sorted member tuple over a parent topology.
-
-    index is the ordinal of the view within an enumeration or sample stream
-    (None for ad-hoc views).
-    """
-
-    parent: FunctionalTopology
-    members: tuple[int, ...]
-    index: int | None = None
-
-    @cached_property
-    def member_set(self) -> frozenset[int]:
-        return frozenset(self.members)
-
-    @property
-    def size(self) -> int:
-        return len(self.members)
-
-
 def build_topology(
     node_count: int,
     edges: Iterable[Sequence[int]],
@@ -132,51 +111,27 @@ def build_topology(
     )
 
 
-def subgraph_view(
-    g: FunctionalTopology, members: Sequence[int], index: int | None = None
-) -> SubgraphView:
-    """Validated induced-subgraph view: distinct in-range members, size >= 1."""
-    mt = tuple(sorted(int(m) for m in members))
-    if not mt:
-        raise ValueError("a subgraph view needs at least one member")
-    if len(set(mt)) != len(mt):
-        raise ValueError(f"duplicate members in {mt}")
-    if mt[0] < 0 or mt[-1] >= g.node_count:
-        raise ValueError(f"members {mt} outside 0..{g.node_count - 1}")
-    return SubgraphView(parent=g, members=mt, index=index)
-
-
 # ---------------------------------------------------------------------------
 # reachability and classical metrics
 
 
-def reachability_count(
-    g: FunctionalTopology | SubgraphView, n: int, r: int
-) -> int:
+def reachability_count(g: FunctionalTopology, n: int, r: int) -> int:
     """Number of nodes within r hops that can reach node n, counting n itself.
 
-    On a SubgraphView paths are confined to the induced subgraph.  Directed
-    graphs follow edge direction (BFS over predecessors).
+    Directed graphs follow edge direction (BFS over predecessors).
     """
     if r < 0:
         raise ValueError(f"radius must be >= 0, got {r}")
-    if isinstance(g, SubgraphView):
-        parent, members = g.parent, g.member_set
-    else:
-        parent, members = g, None
-    if members is not None:
-        if n not in members:
-            raise ValueError(f"node {n} is not a member of the view")
-    elif not (0 <= n < parent.node_count):
-        raise ValueError(f"node {n} outside 0..{parent.node_count - 1}")
-    adj = parent.predecessors
+    if not (0 <= n < g.node_count):
+        raise ValueError(f"node {n} outside 0..{g.node_count - 1}")
+    adj = g.predecessors
     seen = {n}
     frontier = [n]
     for _ in range(r):
         nxt = []
         for u in frontier:
             for w in adj[u]:
-                if w in seen or (members is not None and w not in members):
+                if w in seen:
                     continue
                 seen.add(w)
                 nxt.append(w)
@@ -266,7 +221,10 @@ def clustering_coefficient(g: FunctionalTopology) -> float:
 
 
 # ---------------------------------------------------------------------------
-# subgraph enumeration / sampling
+# subset sampling policy
+
+
+SAMPLING_MODES = ("exhaustive", "uniform-sample")
 
 
 @dataclass(frozen=True)
@@ -285,7 +243,7 @@ class SamplingPolicy:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.mode not in ("exhaustive", "uniform-sample"):
+        if self.mode not in SAMPLING_MODES:
             raise ValueError(f"unknown sampling mode {self.mode!r}")
         if self.sample_count < 1:
             raise ValueError("sample_count must be >= 1")
@@ -311,30 +269,6 @@ def sample_stream(seed: int, *parts: object) -> random.Random:
     """
     tag = ":".join(str(p) for p in (seed, *parts))
     return random.Random(tag)
-
-
-def enumerate_subgraphs(
-    g: FunctionalTopology, size: int, policy: SamplingPolicy | None = None
-) -> Iterator[SubgraphView]:
-    """Yield induced size-j subgraph views.
-
-    Exhaustive mode yields all C(N, j) member tuples in lexicographic order;
-    sample mode yields policy.sample_count independent uniform draws (with
-    replacement) from the same universe, reproducible from the policy seed.
-    """
-    policy = policy or SamplingPolicy()
-    n = g.node_count
-    if not (1 <= size <= n):
-        raise ValueError(f"subgraph size {size} outside 1..{n}")
-    if policy.mode == "exhaustive" or size == n:
-        for k, members in enumerate(itertools.combinations(range(n), size)):
-            yield SubgraphView(parent=g, members=members, index=k)
-        return
-    rng = sample_stream(policy.seed, size)
-    pool = range(n)
-    for k in range(policy.sample_count):
-        members = tuple(sorted(rng.sample(pool, size)))
-        yield SubgraphView(parent=g, members=members, index=k)
 
 
 # ---------------------------------------------------------------------------

@@ -20,8 +20,8 @@ import numpy as np
 from .graph import InputFormatError, sample_stream
 
 NEIGHBORHOODS = {
-    "von-neumann": ((-1, 0), (1, 0), (0, -1), (0, 1)),
     "moore": ((-1, -1), (-1, 0), (-1, 1), (0, -1), (0, 1), (1, -1), (1, 0), (1, 1)),
+    "von-neumann": ((-1, 0), (1, 0), (0, -1), (0, 1)),
 }
 # offsets covering each unordered neighbor pair exactly once
 _HALF_OFFSETS = {

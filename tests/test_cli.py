@@ -96,6 +96,42 @@ def test_unknown_config_key_is_config_error(tmp_path, capsys):
     assert "unknown config keys" in capsys.readouterr().err
 
 
+# (flags, config or None, parameter the error must name)
+BAD_INPUT = (
+    (("cfc", "--graph", "p4.edges"), {"samples": [1]}, "samples"),
+    (("cfc", "--graph", "p4.edges"), {"samples": True}, "samples"),
+    (("cfc", "--graph", "p4.edges"), {"seed": None}, "seed"),
+    (("son-stability", "--instances", 0), {"dims": 5}, "dims"),
+    (("son-stability", "--instances", 0), {"neighborhood": "hex"}, "neighborhood"),
+    (("son-stability", "--instances", 0), {"cell_sample": "1"}, "cell_sample"),
+    (("son-run", "--out", "x.lat"), {"channels": "5"}, "channels"),
+    (("excess-entropy",), {"lattices": "x.lat"}, "lattices"),
+    (("correlate", "--graphs", 2, "--nodes", 4), {"connected_only": "no"},
+     "connected_only"),
+    (("abm", "--iterations", 5), {"seeds": []}, "seeds"),
+    (("abm", "--iterations", 5, "--workers", 0), None, "workers"),
+    (("abm", "--iterations", 5, "--workers", -3), None, "workers"),
+)
+
+
+@pytest.mark.parametrize(
+    "flags,config,key", BAD_INPUT,
+    ids=[f"{flags[0]}-{key}" for flags, _, key in BAD_INPUT],
+)
+def test_bad_value_exits_two_naming_the_key(tmp_path, monkeypatch, capsys,
+                                            flags, config, key):
+    monkeypatch.chdir(tmp_path)
+    write_graph("p4.edges", 4, [(0, 1), (1, 2), (2, 3)])
+    argv = list(flags)
+    if config is not None:
+        (tmp_path / "cfg.json").write_text(json.dumps(config), encoding="utf-8")
+        argv += ["--config", "cfg.json"]
+    assert run_cli(*argv) == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and key in err
+    assert "Traceback" not in err
+
+
 def test_module_entry_point_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "netcomplexity", "--version"],
@@ -375,6 +411,20 @@ def test_abm_config_file_supplies_seeds_and_params(tmp_path):
     assert all(" created=0 " in line for line in summary if line.startswith("# seed"))
 
 
+def test_abm_config_takes_seed_text_and_integer_for_float(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(
+        json.dumps({"iterations": 5, "arrival_probability": 0, "seeds": "4..5"}),
+        encoding="utf-8",
+    )
+    out = tmp_path / "out.csv"
+    assert run_cli("abm", "--config", cfg, "--out", out) == 0
+    header, _, _ = parse_output(out)
+    params = json.loads(header[2][len("# config: "):])
+    assert params["seeds"] == [4, 5]
+    assert repr(params["arrival_probability"]) == "0.0"
+
+
 # ---------------------------------------------------------------------------
 # correlate
 
@@ -427,6 +477,47 @@ def test_rerun_is_byte_identical(tmp_path):
     assert pairs[0] == pairs[1]
 
 
+class FakePool:
+    """Stands in for ProcessPoolExecutor: records the size, starts nothing."""
+
+    sizes: list = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables):
+        return map(fn, *iterables)
+
+
+@pytest.mark.parametrize("argv,cpus,sizes", [
+    (("abm", "--seeds", "1,2", "--workers", 10000), 64, [2]),
+    (("abm", "--seeds", "1..8", "--workers", 10000), 3, [3]),
+    (("abm", "--seeds", "1..8", "--workers", 2), 64, [2]),
+    (("abm", "--seeds", "1..8", "--workers", 10000), None, []),
+    (("abm", "--seeds", "5", "--workers", 4), 64, []),
+    (("son-stability", "--dims", "4x4", "--instances", 3, "--budget", 1,
+      "--cell-sample", 1, "--channel-sample", 1, "--workers", 10000), 64, [3]),
+])
+def test_pool_size_is_clamped_to_tasks_and_cpus(tmp_path, monkeypatch,
+                                                argv, cpus, sizes):
+    from netcomplexity import cli
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", FakePool)
+    monkeypatch.setattr(FakePool, "sizes", [])
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+    argv = (*argv, "--out", tmp_path / "out.csv")
+    if argv[0] == "abm":
+        argv = (*argv, "--iterations", 5)
+    assert run_cli(*argv) == 0
+    assert FakePool.sizes == sizes
+
+
 def test_worker_count_does_not_change_bytes(tmp_path):
     outputs = []
     for workers in (1, 3):
@@ -444,3 +535,68 @@ def test_worker_count_does_not_change_bytes(tmp_path):
             (corr.read_bytes(), stab.read_bytes(), abm.read_bytes())
         )
     assert outputs[0] == outputs[1]
+
+
+# Small runs of every subcommand with non-default values, in order: the
+# excess-entropy file case reads the lattice that son-run writes.  Input
+# paths are relative to the working directory so the header bytes are fixed.
+PINNED_RUNS = (
+    ("cfc", ("cfc", "--graph", "p6.edges", "--mode", "uniform-sample",
+             "--samples", 40, "--limit", 5, "--seed", 3, "--out", "cfc.csv")),
+    ("son-run", ("son-run", "--dims", "7x5", "--channels", 5,
+                 "--neighborhood", "von-neumann", "--boundary", "bounded",
+                 "--max-sweeps", 500, "--seed", 4, "--out", "son.lat")),
+    ("son-stability", ("son-stability", "--dims", "5x5", "--channels", 5,
+                       "--instances", 2, "--budget", 2, "--cell-sample", 3,
+                       "--channel-sample", 2, "--seed", 1,
+                       "--out", "stab.csv")),
+    ("excess-entropy-iid", ("excess-entropy", "--generate", "iid",
+                            "--dims", "12x10", "--channels", 3, "--count", 2,
+                            "--neighborhood", "von-neumann", "--mmax", 3,
+                            "--radius", 1, "--tolerance", 0.05, "--seed", 6,
+                            "--out", "ee.csv")),
+    ("excess-entropy-files", ("excess-entropy", "son.lat", "--mmax", 2,
+                              "--out", "eef.csv")),
+    ("abm", ("abm", "--iterations", 30, "--mac", "csma", "--persistence", 0.5,
+             "--arrival-probability", 0.3, "--road-length", 8,
+             "--light-policy", "queue", "--min-green", 3,
+             "--message-duration", 2, "--slots-per-iteration", 3,
+             "--seeds", "1,2", "--out", "abm.csv")),
+    ("correlate", ("correlate", "--kind", "watts-strogatz", "--nodes", 7,
+                   "--graphs", 5, "--ring-degree", 2,
+                   "--rewiring-probability", 0.3, "--samples", 30,
+                   "--limit", 10, "--seed", 2, "--out", "corr.csv")),
+)
+
+PINNED_SHA256 = {
+    "cfc": "b4f2f5fa48c61a219db6fc7bd858413789a181d6667b7cb29c59c9a22ed2c9f5",
+    "son-run": "409989f3ae1cebd7da180546b2515d4888fecdb2f598e353fdace107785645b3",
+    "son-stability": "7465bcef0d9ea421e91b1549cc19a7649c3f902d2e29e9a2483e23b578e8b7e8",
+    "excess-entropy-iid": "709186729cb722ccd1027a3527a8bec89e0392d25b3018c5c8c4c53267208a41",
+    "excess-entropy-files": "20fc461d2dbaed7ee5144251369350363f75e11aad33ceea8793a3a0d65e7858",
+    "abm": "1ce04dea92f55fa62cc0e65866aee7b5024677b86a17f94a5de8920b9f7dbdd7",
+    "correlate": "f447ae9827bd30b4945112a18de79a1994ef368a4a70258b627e133b3a161bb8",
+}
+
+
+def test_pinned_outputs_and_config_round_trip(tmp_path, monkeypatch):
+    import hashlib
+
+    monkeypatch.chdir(tmp_path)
+    write_graph("p6.edges", 6, [(i, i + 1) for i in range(5)])
+    for name, argv in PINNED_RUNS:
+        assert run_cli(*argv) == 0, name
+        out = argv[-1]
+        data = (tmp_path / out).read_bytes()
+        assert hashlib.sha256(data).hexdigest() == PINNED_SHA256[name], name
+        # the header's resolved config, fed back as --config, is the same run
+        config_line = next(
+            line for line in data.decode().splitlines()
+            if line.startswith("# config: ")
+        )
+        (tmp_path / "again.json").write_text(
+            config_line[len("# config: "):], encoding="utf-8"
+        )
+        assert run_cli(argv[0], "--config", "again.json",
+                       "--out", f"again-{out}") == 0, name
+        assert (tmp_path / f"again-{out}").read_bytes() == data, name

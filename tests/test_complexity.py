@@ -4,6 +4,7 @@ import itertools
 import math
 import random
 
+import networkx as nx
 import pytest
 
 from netcomplexity import (
@@ -13,11 +14,9 @@ from netcomplexity import (
     functional_complexity,
     is_connected,
     mean_information,
-    subgraph_information,
-    subgraph_view,
 )
 
-from oracles import oracle_functional_complexity
+from oracles import oracle_functional_complexity, oracle_subgraph_information
 
 # brute-force enumeration values, frozen (see oracles.oracle_functional_complexity)
 P4_COMPLEXITY = 1.4309526058794129
@@ -70,21 +69,31 @@ def test_binary_entropy_rejects_out_of_range():
 # subgraph information
 
 
+def p4_information(members, r):
+    """Information of the subgraph of P4 induced by members: the mean over
+    the single full-size subset of that subgraph, checked against the oracle."""
+    index = {m: k for k, m in enumerate(members)}
+    edges = [(index[u], index[u + 1]) for u in range(3)
+             if u in index and u + 1 in index]
+    got = mean_information(build_topology(len(members), edges), len(members), r)
+    assert got.subset_count == 1
+    expected = oracle_subgraph_information(nx.path_graph(4), members, r)
+    assert got.value == pytest.approx(expected, abs=1e-12)
+    return got.value
+
+
 def test_information_two_isolated_nodes():
-    v = subgraph_view(path(4), (0, 2))
-    assert subgraph_information(v, 1) == pytest.approx(2.0, abs=1e-12)
+    assert p4_information((0, 2), 1) == pytest.approx(2.0, abs=1e-12)
 
 
 def test_information_edge_pair_is_zero():
-    v = subgraph_view(path(4), (0, 1))
-    assert subgraph_information(v, 1) == 0.0
+    assert p4_information((0, 1), 1) == 0.0
 
 
 def test_information_whole_path_one_hop():
     # two end nodes at H(2/4), two inner nodes at H(3/4)
-    v = subgraph_view(path(4), (0, 1, 2, 3))
     expected = 2 * 1.0 + 2 * H_QUARTER
-    assert subgraph_information(v, 1) == pytest.approx(expected, abs=1e-12)
+    assert p4_information((0, 1, 2, 3), 1) == pytest.approx(expected, abs=1e-12)
 
 
 def test_mean_information_full_size_equals_whole_graph():

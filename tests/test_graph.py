@@ -4,6 +4,7 @@ import itertools
 import math
 import random
 
+import networkx as nx
 import pytest
 
 from netcomplexity import (
@@ -14,13 +15,16 @@ from netcomplexity import (
     build_topology,
     clustering_coefficient,
     diameter,
-    enumerate_subgraphs,
     is_connected,
+    mean_information,
     reachability_count,
     read_edge_list,
-    subgraph_view,
+    sample_stream,
     write_edge_list,
 )
+from netcomplexity.complexity import _exhaustive_batches, _sampled_batches
+
+from oracles import oracle_subgraph_information
 
 
 def path(n):
@@ -91,10 +95,15 @@ def test_reach_zero_radius_is_self():
 
 
 def test_reach_confined_to_view():
-    # members {0, 1, 3} of P4: node 3 is isolated inside the view
-    v = subgraph_view(path(4), (0, 1, 3))
-    assert reachability_count(v, 3, 2) == 1
-    assert reachability_count(v, 0, 2) == 2
+    # paths stay inside each induced subgraph: in {0, 1, 3} of P4, node 3 is
+    # isolated although node 2 links it to the rest of the parent graph
+    subsets = list(itertools.combinations(range(4), 3))
+    expected = sum(
+        oracle_subgraph_information(nx.path_graph(4), s, 2) for s in subsets
+    ) / len(subsets)
+    got = mean_information(path(4), 3, 2)
+    assert got.subset_count == len(subsets)
+    assert got.value == pytest.approx(expected, abs=1e-12)
 
 
 def test_reach_directed_counts_incoming():
@@ -184,43 +193,47 @@ def test_clustering_k4_minus_edge():
 
 
 def test_enumerate_exhaustive_lexicographic():
-    g = complete(5)
-    views = list(enumerate_subgraphs(g, 3))
-    assert len(views) == 10
-    members = [v.members for v in views]
-    assert members == sorted(members)
-    assert len(set(members)) == 10
-    assert [v.index for v in views] == list(range(10))
+    # a fixed subset order fixes the summation order of exhaustive cells
+    members = [tuple(row) for batch in _exhaustive_batches(5, 3)
+               for row in batch.tolist()]
+    assert members == list(itertools.combinations(range(5), 3))
 
 
 def test_enumerate_counts_match_binomial():
     g = path(6)
-    for j in range(1, 7):
-        assert len(list(enumerate_subgraphs(g, j))) == math.comb(6, j)
+    for j in range(2, 7):
+        got = mean_information(g, j, 1)
+        assert got.subset_count == math.comb(6, j)
+        assert not got.sampled
 
 
 def test_enumerate_rejects_bad_size():
     with pytest.raises(ValueError, match="outside"):
-        list(enumerate_subgraphs(path(4), 5))
+        mean_information(path(4), 5, 1)
 
 
 def test_sampling_reproducible():
-    g = complete(20)
+    g = path(20)
     pol = SamplingPolicy(mode="uniform-sample", sample_count=500, seed=7)
-    a = [v.members for v in enumerate_subgraphs(g, 10, pol)]
-    b = [v.members for v in enumerate_subgraphs(g, 10, pol)]
-    assert a == b
-    assert len(a) == 500
-    assert all(len(set(m)) == 10 for m in a)
+    a = mean_information(g, 10, 1, pol)
+    assert a == mean_information(g, 10, 1, pol)
+    assert a.sampled and a.subset_count == 500
+    # draws are without replacement within a subset
+    rng = sample_stream(7, 1, 10)
+    draws = [row for batch in _sampled_batches(20, 10, 500, rng)
+             for row in batch.tolist()]
+    assert len(draws) == 500
+    assert all(len(set(row)) == 10 for row in draws)
 
 
 def test_sampling_seed_changes_stream():
-    g = complete(20)
-    a = [v.members for v in enumerate_subgraphs(
-        g, 10, SamplingPolicy(mode="uniform-sample", sample_count=50, seed=1))]
-    b = [v.members for v in enumerate_subgraphs(
-        g, 10, SamplingPolicy(mode="uniform-sample", sample_count=50, seed=2))]
-    assert a != b
+    g = path(20)
+    a, b = (
+        mean_information(g, 10, 1, SamplingPolicy(
+            mode="uniform-sample", sample_count=50, seed=seed))
+        for seed in (1, 2)
+    )
+    assert a.value != b.value
 
 
 def test_policy_resolves_switch_at_limit():
