@@ -19,7 +19,6 @@ from typing import NamedTuple
 from .graph import sample_stream
 
 INACTIVE, MOVING, STATIC = 0, 1, 2
-STATE_NAMES = {INACTIVE: "inactive", MOVING: "moving", STATIC: "static"}
 
 LANES = ("east", "west", "south", "north")
 LANE_AXIS = {"east": "h", "west": "h", "south": "v", "north": "v"}
@@ -210,9 +209,6 @@ class TrafficWorld:
         cars += [c for lane in LANES for c in self.exit[lane] if c is not None]
         cars += list(self.box.values())
         return cars
-
-    def light_color(self, lane: str) -> str:
-        return "green" if LANE_AXIS[lane] == self.green else "red"
 
 
 class SensorField:

@@ -24,14 +24,14 @@ import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 from typing import Callable
 
 import numpy as np
 
 from . import __version__
-from .abm import LIGHT_POLICIES, MACS, ScenarioConfig, run_scenario
-from .complexity import functional_complexity
+from .abm import LIGHT_POLICIES, MACS, PerceptionRecord, ScenarioConfig, run_scenario
+from .complexity import ScaleCell, functional_complexity
 from .entropy import NeighborhoodTemplate, estimate_excess_entropy
 from .graph import (
     SAMPLING_MODES,
@@ -40,7 +40,13 @@ from .graph import (
     read_edge_list,
     sample_stream,
 )
-from .harness import ENSEMBLE_KINDS, METRIC_FIELDS, EnsembleSpec, correlation_report
+from .harness import (
+    ENSEMBLE_KINDS,
+    METRIC_FIELDS,
+    EnsembleSpec,
+    ReportRow,
+    correlation_report,
+)
 from .lattice import (
     BOUNDARIES,
     NEIGHBORHOODS,
@@ -350,15 +356,17 @@ def _output(path: str | None):
             yield fh
 
 
-def _emit(fh, header_lines, columns, rows, summary_lines=()) -> None:
-    for line in header_lines:
-        fh.write(line + "\n")
-    writer = csv.writer(fh, lineterminator="\n")
-    writer.writerow(columns)
-    for row in rows:
-        writer.writerow([_fmt(v) for v in row])
-    for line in summary_lines:
-        fh.write(line + "\n")
+def _write_csv(args, params: dict, seed_repr: str, columns, rows, summary=()) -> None:
+    """Provenance header, CSV table and summary lines, to --out or stdout."""
+    with _output(args.out) as fh:
+        for line in _provenance(args.command, params, seed_repr):
+            fh.write(line + "\n")
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(columns)
+        for row in rows:
+            writer.writerow([_fmt(v) for v in row])
+        for line in summary:
+            fh.write(line + "\n")
 
 
 @contextmanager
@@ -416,19 +424,6 @@ def cmd_cfc(args) -> int:
             file=sys.stderr,
         )
 
-    rows = [
-        (
-            c.scale,
-            c.size,
-            c.mean_information,
-            c.baseline,
-            c.deviation,
-            c.stderr,
-            c.subset_count,
-            c.sampled,
-        )
-        for c in profile.cells
-    ]
     summary = [
         "# summary:",
         f"# node_count: {profile.node_count}",
@@ -437,23 +432,12 @@ def cmd_cfc(args) -> int:
         f"# complexity: {profile.complexity!r}",
         f"# pooled_standard_error: {profile.pooled_standard_error!r}",
     ]
-    with _output(args.out) as fh:
-        _emit(
-            fh,
-            _provenance("cfc", params, str(params["seed"])),
-            (
-                "scale",
-                "size",
-                "mean_information",
-                "baseline",
-                "deviation",
-                "stderr",
-                "subset_count",
-                "sampled",
-            ),
-            rows,
-            summary,
-        )
+    _write_csv(
+        args, params, str(params["seed"]),
+        [f.name for f in fields(ScaleCell)],
+        [astuple(c) for c in profile.cells],
+        summary,
+    )
     return 0
 
 
@@ -464,12 +448,11 @@ def cmd_cfc(args) -> int:
 def cmd_son_stability(args) -> int:
     params = _resolve(args)
     columns = ("instance", "row", "col", "forced_channel", "distance", "exceeded")
-    header = _provenance("son-stability", params, str(params["seed"]))
+    seed_repr = str(params["seed"])
 
     instances = params["instances"]
     if instances == 0:
-        with _output(args.out) as fh:
-            _emit(fh, header, columns, [])
+        _write_csv(args, params, seed_repr, columns, [])
         return 0
 
     width, height = _width_height(params["dims"])
@@ -506,8 +489,7 @@ def cmd_son_stability(args) -> int:
         f"# max_distance: {study.max_distance}",
         f"# budget: {study.budget}",
     ]
-    with _output(args.out) as fh:
-        _emit(fh, header, columns, rows, summary)
+    _write_csv(args, params, seed_repr, columns, rows, summary)
     return 0
 
 
@@ -594,14 +576,10 @@ def cmd_excess_entropy(args) -> int:
         f"# sample_count: {profile.sample_count}",
         f"# pooled_cells: {pooled}",
     ]
-    with _output(args.out) as fh:
-        _emit(
-            fh,
-            _provenance("excess-entropy", params, str(params["seed"])),
-            ("context_depth", "conditional_entropy"),
-            rows,
-            summary,
-        )
+    _write_csv(
+        args, params, str(params["seed"]),
+        ("context_depth", "conditional_entropy"), rows, summary,
+    )
     return 0
 
 
@@ -624,12 +602,7 @@ def cmd_abm(args) -> int:
     with _mapper(args.workers, len(configs)) as mapper:
         results = list(mapper(run_scenario, configs))
 
-    rows = [
-        (res.config.seed, rec.iteration, rec.actual, rec.perceived,
-         rec.gap, rec.delivered, rec.collisions)
-        for res in results
-        for rec in res.trace
-    ]
+    rows = [(res.config.seed, *rec) for res in results for rec in res.trace]
     summary = ["# summary:"]
     for res in results:
         summary.append(
@@ -650,15 +623,10 @@ def cmd_abm(args) -> int:
     summary.append(
         f"# aggregate: seeds={len(means)} mean_gap={grand!r} stderr={spread!r}"
     )
-    with _output(args.out) as fh:
-        _emit(
-            fh,
-            _provenance("abm", params, json.dumps(seeds)),
-            ("seed", "iteration", "actual", "perceived", "gap",
-             "delivered", "collisions"),
-            rows,
-            summary,
-        )
+    _write_csv(
+        args, params, json.dumps(seeds),
+        ("seed", *PerceptionRecord._fields), rows, summary,
+    )
     return 0
 
 
@@ -685,16 +653,6 @@ def cmd_correlate(args) -> int:
     with _mapper(args.workers, spec.graph_count) as mapper:
         report = correlation_report(spec, policy=_policy(params), mapper=mapper)
 
-    rows = [
-        (
-            r.graph_id,
-            r.complexity,
-            r.average_path_length,
-            r.average_degree,
-            r.clustering_coefficient,
-        )
-        for r in report.rows
-    ]
     labels = dict(METRIC_FIELDS)
     footer_rows = []
     notes = []
@@ -706,20 +664,12 @@ def cmd_correlate(args) -> int:
         else:
             footer_rows.append((label, corr.rho, "", "", ""))
     summary = notes + [f"# flag: {flag}" for flag in report.flags]
-    with _output(args.out) as fh:
-        _emit(
-            fh,
-            _provenance("correlate", params, str(params["seed"])),
-            (
-                "graph_id",
-                "complexity",
-                "average_path_length",
-                "average_degree",
-                "clustering_coefficient",
-            ),
-            rows + footer_rows,
-            summary,
-        )
+    _write_csv(
+        args, params, str(params["seed"]),
+        [f.name for f in fields(ReportRow)],
+        [astuple(r) for r in report.rows] + footer_rows,
+        summary,
+    )
     return 0
 
 

@@ -68,18 +68,14 @@ def empirical_entropy(counts: Mapping) -> float:
     values = list(counts.values())
     if any(c < 0 for c in values):
         raise ValueError("negative count")
-    total = sum(values)
-    if total <= 0:
+    if sum(values) <= 0:
         raise ValueError("count table sums to zero")
-    acc = 0.0
-    for c in values:
-        if c:
-            acc += c * math.log2(c)
-    return math.log2(total) - acc / total
+    return _entropy_of_count_vector(np.array([c for c in values if c]))
 
 
 def _entropy_of_count_vector(counts: np.ndarray) -> float:
-    total = int(counts.sum())
+    """Plug-in Shannon entropy (bits) of an array of positive counts."""
+    total = counts.sum().item()
     acc = float((counts * np.log2(counts)).sum())
     return math.log2(total) - acc / total
 

@@ -6,8 +6,6 @@ import math
 from dataclasses import dataclass
 from statistics import fmean
 
-import networkx as nx
-
 from .complexity import functional_complexity
 from .graph import (
     FunctionalTopology,
@@ -76,7 +74,10 @@ class EnsembleSpec:
             raise ValueError(f"{self.kind} requires {', '.join(missing)}")
 
 
-def _sample_graph(spec: EnsembleSpec, seed: int) -> nx.Graph:
+def _sample_graph(spec: EnsembleSpec, seed: int):
+    # imported here: networkx is slow to import and only ensembles need it
+    import networkx as nx
+
     if spec.kind == "erdos-renyi":
         return nx.gnp_random_graph(spec.node_count, spec.edge_probability, seed=seed)
     if spec.kind == "watts-strogatz":

@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable, Iterable
 
 import numpy as np
@@ -22,11 +23,6 @@ from .graph import InputFormatError, sample_stream
 NEIGHBORHOODS = {
     "moore": ((-1, -1), (-1, 0), (-1, 1), (0, -1), (0, 1), (1, -1), (1, 0), (1, 1)),
     "von-neumann": ((-1, 0), (1, 0), (0, -1), (0, 1)),
-}
-# offsets covering each unordered neighbor pair exactly once
-_HALF_OFFSETS = {
-    "von-neumann": ((0, 1), (1, 0)),
-    "moore": ((0, 1), (1, 0), (1, 1), (1, -1)),
 }
 BOUNDARIES = ("toroidal", "bounded")
 
@@ -66,12 +62,16 @@ class ChannelLattice:
         object.__setattr__(self, "cells", arr)
 
 
+@lru_cache
 def neighbor_index_table(
     width: int, height: int, neighborhood: str, boundary: str
-) -> list[list[int]]:
-    """Flat-index neighbor lists (row-major), duplicates removed."""
+) -> tuple[tuple[int, ...], ...]:
+    """Flat-index neighbor tuples (row-major), duplicates removed.
+
+    Cached: the table is shared by every caller with the same arguments.
+    """
     offs = NEIGHBORHOODS[neighborhood]
-    table: list[list[int]] = []
+    table: list[tuple[int, ...]] = []
     for r in range(height):
         for c in range(width):
             seen: list[int] = []
@@ -85,35 +85,24 @@ def neighbor_index_table(
                 idx = rr * width + cc
                 if idx != r * width + c and idx not in seen:
                     seen.append(idx)
-            table.append(seen)
-    return table
+            table.append(tuple(seen))
+    return tuple(table)
 
 
-def neighbor_pairs(
-    width: int, height: int, neighborhood: str, boundary: str
-) -> list[tuple[int, int]]:
-    """Unordered neighbor pairs as sorted flat-index tuples, each once."""
-    pairs: set[tuple[int, int]] = set()
-    for i, nbrs in enumerate(
-        neighbor_index_table(width, height, neighborhood, boundary)
-    ):
-        for j in nbrs:
-            pairs.add((i, j) if i < j else (j, i))
-    return sorted(pairs)
+def _conflicts(grid: list[int], nbrs: tuple[tuple[int, ...], ...]) -> int:
+    """Neighbor pairs of a flat grid sharing a channel, each pair once."""
+    total = 0
+    for i, own in enumerate(grid):
+        for j in nbrs[i]:
+            if j > i and grid[j] == own:
+                total += 1
+    return total
 
 
 def conflict_count(lat: ChannelLattice) -> int:
     """Number of unordered neighbor pairs sharing a channel."""
-    a = lat.cells
-    # the roll trick double-counts wrapped pairs when a dimension is < 3
-    if lat.boundary == "toroidal" and min(lat.width, lat.height) >= 3:
-        total = 0
-        for dr, dc in _HALF_OFFSETS[lat.neighborhood]:
-            total += int(np.count_nonzero(a == np.roll(a, (-dr, -dc), axis=(0, 1))))
-        return total
-    pairs = neighbor_pairs(lat.width, lat.height, lat.neighborhood, lat.boundary)
-    flat = a.ravel()
-    return sum(1 for i, j in pairs if flat[i] == flat[j])
+    nbrs = neighbor_index_table(lat.width, lat.height, lat.neighborhood, lat.boundary)
+    return _conflicts(lat.cells.ravel().tolist(), nbrs)
 
 
 # ---------------------------------------------------------------------------
@@ -196,18 +185,9 @@ def son_allocate(
     cell_total = width * height
     grid = [rng.randrange(channel_count) for _ in range(cell_total)]
     nbrs = neighbor_index_table(width, height, neighborhood, boundary)
-
-    def grid_conflicts() -> int:
-        total = 0
-        for i, own in enumerate(grid):
-            for j in nbrs[i]:
-                if j > i and grid[j] == own:
-                    total += 1
-        return total
-
     order = list(range(cell_total))
     sweeps = 0
-    conflicts = grid_conflicts()
+    conflicts = _conflicts(grid, nbrs)
     while conflicts and sweeps < max_sweeps:
         rng.shuffle(order)
         for i in order:
@@ -219,7 +199,7 @@ def son_allocate(
             least = min(counts)
             grid[i] = rng.choice([f for f in range(channel_count) if counts[f] == least])
         sweeps += 1
-        conflicts = grid_conflicts()
+        conflicts = _conflicts(grid, nbrs)
     lat = ChannelLattice(
         width=width,
         height=height,
@@ -296,12 +276,12 @@ def repair_distance(
         )
     if budget < 0:
         raise ValueError("budget must be >= 0")
-    if conflict_count(lat):
-        raise ValueError("repair_distance requires an interference-free lattice")
 
     width, height, f_count = lat.width, lat.height, lat.channel_count
     nbrs = neighbor_index_table(width, height, lat.neighborhood, lat.boundary)
-    grid = [int(v) for v in lat.cells.ravel()]
+    grid = lat.cells.ravel().tolist()
+    if _conflicts(grid, nbrs):
+        raise ValueError("repair_distance requires an interference-free lattice")
     clamped = r0 * width + c0
     grid[clamped] = forced_channel
 

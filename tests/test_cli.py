@@ -141,6 +141,17 @@ def test_module_entry_point_runs():
     assert "netcomplexity 0.1.0" in proc.stdout
 
 
+def test_cli_import_leaves_networkx_unloaded():
+    # networkx is slow to import and only the correlate ensembles need it
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, netcomplexity.cli; print('networkx' in sys.modules)"],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
 # ---------------------------------------------------------------------------
 # cfc
 

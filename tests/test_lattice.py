@@ -17,7 +17,7 @@ from netcomplexity.lattice import (
     write_lattice,
 )
 
-from oracles import oracle_repair_distance
+from oracles import oracle_neighbor_pairs, oracle_repair_distance
 
 
 def constant_lattice(width, height, channels, value=0, neighborhood="von-neumann"):
@@ -68,6 +68,23 @@ def test_conflict_count_small_torus_no_double_count():
     # constant 2x2 von Neumann torus: wrap collapses east/west neighbors,
     # leaving 4 distinct unordered pairs, all conflicting
     assert conflict_count(constant_lattice(2, 2, 2)) == 4
+
+
+@pytest.mark.parametrize("boundary", ["toroidal", "bounded"])
+@pytest.mark.parametrize("neighborhood", ["von-neumann", "moore"])
+def test_conflict_count_matches_oracle_pairs(neighborhood, boundary):
+    # W, H down to 1 cover the small tori where wrapped neighbors coincide
+    rng = np.random.default_rng(0)
+    for width in range(1, 7):
+        for height in range(1, 7):
+            pairs = oracle_neighbor_pairs(width, height, neighborhood, boundary)
+            for channels in (1, 2, 3):
+                cells = rng.integers(0, channels, size=(height, width))
+                lat = ChannelLattice(width=width, height=height,
+                                     channel_count=channels, cells=cells,
+                                     neighborhood=neighborhood, boundary=boundary)
+                expect = sum(1 for a, b in pairs if cells[a] == cells[b])
+                assert conflict_count(lat) == expect, (width, height, channels)
 
 
 def test_centralized_patterns_always_clean():
@@ -129,6 +146,7 @@ def test_son_single_channel_never_converges():
     assert not report.converged
     assert report.conflicts > 0
     assert report.sweeps == 25
+    assert report.conflicts == conflict_count(lat)
 
 
 # ---------------------------------------------------------------------------
