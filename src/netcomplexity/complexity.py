@@ -26,7 +26,8 @@ from .graph import (
     sample_stream,
 )
 
-_BATCH = 4096  # subsets per kernel batch; bounds memory, fixes summation order
+_BATCH = 4096  # subsets per batch; fixes the summation order of each cell
+_CHUNK = 256  # subsets per kernel pass; bounds the float32 stacks in memory
 
 
 def binary_entropy(p: float) -> float:
@@ -43,11 +44,11 @@ def binary_entropy(p: float) -> float:
 
 
 def _dense_adjacency(g: FunctionalTopology) -> np.ndarray:
-    a = np.zeros((g.node_count, g.node_count), dtype=np.uint8)
+    a = np.zeros((g.node_count, g.node_count), dtype=np.float32)
     for u, v in g.edges:
-        a[u, v] = 1
+        a[u, v] = 1.0
         if not g.directed:
-            a[v, u] = 1
+            a[v, u] = 1.0
     return a
 
 
@@ -59,33 +60,50 @@ def _entropy_of_fractions(p: np.ndarray) -> np.ndarray:
     out[nz] -= q[nz] * np.log2(q[nz])
     return out
 
-def _information_batch(adj: np.ndarray, members: np.ndarray, r: int) -> np.ndarray:
-    """Information per subset for a (S, j) array of member indices.
 
-    Reachability within r hops is (I | A)^r over the induced submatrix,
-    computed as repeated uint8 matmuls re-binarized each step; column sums
-    count the nodes that can reach each member.
+def _information_batch(adj: np.ndarray, members: np.ndarray, r: int) -> np.ndarray:
+    """Information per subset at every scale 1..r for an (S, j) array of
+    member indices; row k-1 of the (r, S) result holds scale k.
+
+    Reachability within k hops is (I | A)^k over the induced submatrix,
+    one float32 matmul per scale, re-binarized each step; column sums count
+    the nodes that can reach each member.  Entries never exceed j, so
+    float32 is exact.  A member reached by c nodes contributes the binary
+    entropy of c / j, read from a table.
     """
     s, j = members.shape
-    sub = adj[members[:, :, None], members[:, None, :]]
-    one_hop = sub | np.eye(j, dtype=np.uint8)
-    reach = one_hop
-    # powers stabilize by j-1 steps; further multiplications are identity ops
-    for _ in range(min(r, j - 1) - 1):
-        reach = (np.matmul(reach, one_hop) > 0).astype(np.uint8)
-    counts = reach.sum(axis=1, dtype=np.int64)  # counts[s, n] = reachers of n
-    p = counts / float(j)
-    return _entropy_of_fractions(p).sum(axis=1)
+    table = np.zeros(j + 1)
+    table[1:] = _entropy_of_fractions(np.arange(1, j + 1) / float(j))
+    diag = np.arange(j)
+    out = np.empty((r, s))
+    for lo in range(0, s, _CHUNK):
+        m = members[lo:lo + _CHUNK]
+        one_hop = adj[m[:, :, None], m[:, None, :]]
+        one_hop[:, diag, diag] = 1.0
+        reach = one_hop
+        for k in range(r):
+            if k:
+                reach = np.matmul(reach, one_hop)
+                np.minimum(reach, 1.0, out=reach)
+            counts = reach.sum(axis=1).astype(np.intp)  # reachers of each member
+            out[k, lo:lo + len(m)] = table[counts].sum(axis=1)
+    return out
+
+
+def _member_array(rows, take: int, size: int) -> np.ndarray:
+    """Stack take rows of size member ids into a (take, size) array."""
+    flat = itertools.chain.from_iterable(rows)
+    return np.fromiter(flat, dtype=np.intp, count=take * size).reshape(take, size)
 
 
 def _exhaustive_batches(n: int, size: int):
     """Lexicographic member arrays in fixed-size batches."""
     it = itertools.combinations(range(n), size)
-    while True:
-        chunk = list(itertools.islice(it, _BATCH))
-        if not chunk:
-            return
-        yield np.array(chunk, dtype=np.intp)
+    remaining = math.comb(n, size)
+    while remaining > 0:
+        take = min(remaining, _BATCH)
+        remaining -= take
+        yield _member_array(itertools.islice(it, take), take, size)
 
 
 def _sampled_batches(n: int, size: int, count: int, rng):
@@ -93,9 +111,10 @@ def _sampled_batches(n: int, size: int, count: int, rng):
     remaining = count
     while remaining > 0:
         take = min(remaining, _BATCH)
-        chunk = [sorted(rng.sample(pool, size)) for _ in range(take)]
         remaining -= take
-        yield np.array(chunk, dtype=np.intp)
+        chunk = _member_array((rng.sample(pool, size) for _ in range(take)), take, size)
+        chunk.sort(axis=1)
+        yield chunk
 
 
 @dataclass(frozen=True)
@@ -106,6 +125,33 @@ class MeanInformation:
     stderr: float
     subset_count: int
     sampled: bool
+
+
+def _scale_means(
+    adj: np.ndarray, batches, first: int, r: int, total_count: int, sampled: bool
+) -> list[MeanInformation]:
+    """Mean information at scales first..r over one stream of member batches."""
+    acc = [0.0] * r
+    acc_sq = [0.0] * r
+    seen = 0
+    for members in batches:
+        vals = _information_batch(adj, members, r)
+        for k in range(first - 1, r):
+            acc[k] += float(vals[k].sum())
+            acc_sq[k] += float((vals[k] * vals[k]).sum())
+        seen += len(members)
+    assert seen == total_count
+    means = []
+    for k in range(first - 1, r):
+        if not sampled or seen < 2:
+            stderr = 0.0
+        else:
+            var = max(acc_sq[k] - acc[k] * acc[k] / seen, 0.0) / (seen - 1)
+            stderr = math.sqrt(var / seen)
+        means.append(MeanInformation(
+            value=acc[k] / seen, stderr=stderr, subset_count=seen, sampled=sampled,
+        ))
+    return means
 
 
 def mean_information(
@@ -126,35 +172,12 @@ def mean_information(
     if not (1 + r <= size <= n):
         raise ValueError(f"size {size} outside {1 + r}..{n} for scale r={r}")
     adj = _dense_adjacency(g) if _adj is None else _adj
-    mode = policy.resolved_mode(n, size)
-    if mode == "exhaustive":
+    if policy.resolved_mode(n, size) == "exhaustive":
         batches = _exhaustive_batches(n, size)
-        total_count = math.comb(n, size)
-    else:
-        rng = sample_stream(policy.seed, r, size)
-        batches = _sampled_batches(n, size, policy.sample_count, rng)
-        total_count = policy.sample_count
-    acc = 0.0
-    acc_sq = 0.0
-    seen = 0
-    for members in batches:
-        vals = _information_batch(adj, members, r)
-        acc += float(vals.sum())
-        acc_sq += float((vals * vals).sum())
-        seen += len(vals)
-    assert seen == total_count
-    mean = acc / seen
-    if mode == "exhaustive" or seen < 2:
-        stderr = 0.0
-    else:
-        var = max(acc_sq - acc * acc / seen, 0.0) / (seen - 1)
-        stderr = math.sqrt(var / seen)
-    return MeanInformation(
-        value=mean,
-        stderr=stderr,
-        subset_count=seen,
-        sampled=(mode == "uniform-sample"),
-    )
+        return _scale_means(adj, batches, r, r, math.comb(n, size), False)[0]
+    rng = sample_stream(policy.seed, r, size)
+    batches = _sampled_batches(n, size, policy.sample_count, rng)
+    return _scale_means(adj, batches, r, r, policy.sample_count, True)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -222,15 +245,26 @@ def functional_complexity(
         )
     adj = _dense_adjacency(g)
     n = g.node_count
-    full = np.arange(n, dtype=np.intp)[None, :]
+    # exhaustive sizes are enumerated once for all their scales; sampled
+    # cells keep one draw stream each
+    means: dict[tuple[int, int], MeanInformation] = {}
+    for size in range(2, n + 1):
+        top = min(r_max - 1, size - 1)
+        if policy.resolved_mode(n, size) == "exhaustive":
+            batches = _exhaustive_batches(n, size)
+            row = _scale_means(adj, batches, 1, top, math.comb(n, size), False)
+            means.update(((r, size), mi) for r, mi in enumerate(row, 1))
+        else:
+            for r in range(1, top + 1):
+                means[r, size] = mean_information(g, size, r, policy, _adj=adj)
     cells: list[ScaleCell] = []
     whole: list[tuple[int, float]] = []
     total = 0.0
     for r in range(1, r_max):
-        whole_info = float(_information_batch(adj, full, r)[0])
+        whole_info = means[r, n].value  # the single full-size subset
         whole.append((r, whole_info))
         for size in range(1 + r, n + 1):
-            mi = mean_information(g, size, r, policy, _adj=adj)
+            mi = means[r, size]
             slope = (r + 1 - size) / (r + 1 - n)
             baseline = slope * whole_info
             deviation = abs(mi.value - baseline)

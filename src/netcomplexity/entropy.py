@@ -75,6 +75,8 @@ def empirical_entropy(counts: Mapping) -> float:
 
 def _entropy_of_count_vector(counts: np.ndarray) -> float:
     """Plug-in Shannon entropy (bits) of an array of positive counts."""
+    if len(counts) == 1:
+        return 0.0  # the formula leaves a rounding residue, even a negative one
     total = counts.sum().item()
     acc = float((counts * np.log2(counts)).sum())
     return math.log2(total) - acc / total

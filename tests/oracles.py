@@ -26,7 +26,11 @@ def h2(p: float) -> float:
 
 
 def oracle_subgraph_information(G: nx.Graph, members, r: int) -> float:
+    """Sum over members n of h2(nodes that reach n within r hops / j).  On a
+    DiGraph the search runs over reversed edges, so it counts the reachers."""
     sub = G.subgraph(members)
+    if sub.is_directed():
+        sub = sub.reverse(copy=False)
     j = len(members)
     total = 0.0
     for n in members:
@@ -35,12 +39,22 @@ def oracle_subgraph_information(G: nx.Graph, members, r: int) -> float:
     return total
 
 
-def oracle_functional_complexity(node_count: int, edges) -> float:
-    """Literal evaluation: every scale, every size, every subset."""
-    G = nx.Graph()
+def oracle_mean_information(G: nx.Graph, size: int, r: int) -> float:
+    """Mean subgraph information over every size-j subset of G's nodes."""
+    vals = [
+        oracle_subgraph_information(G, s, r)
+        for s in itertools.combinations(sorted(G), size)
+    ]
+    return sum(vals) / len(vals)
+
+
+def oracle_functional_complexity(node_count: int, edges, directed: bool = False) -> float:
+    """Literal evaluation: every scale, every size, every subset.  The
+    diameter is taken on the undirected view."""
+    G = nx.DiGraph() if directed else nx.Graph()
     G.add_nodes_from(range(node_count))
     G.add_edges_from(edges)
-    R = nx.diameter(G)
+    R = nx.diameter(G.to_undirected(as_view=True))
     if R < 2:
         return 0.0
     nodes = list(range(node_count))
@@ -48,11 +62,7 @@ def oracle_functional_complexity(node_count: int, edges) -> float:
     for r in range(1, R):
         whole = oracle_subgraph_information(G, nodes, r)
         for j in range(1 + r, node_count + 1):
-            vals = [
-                oracle_subgraph_information(G, s, r)
-                for s in itertools.combinations(nodes, j)
-            ]
-            mean = sum(vals) / len(vals)
+            mean = oracle_mean_information(G, j, r)
             baseline = (r + 1 - j) / (r + 1 - node_count) * whole
             total += abs(mean - baseline)
     return total / (R - 1)

@@ -5,6 +5,7 @@ import math
 import random
 
 import networkx as nx
+import numpy as np
 import pytest
 
 from netcomplexity import (
@@ -15,8 +16,14 @@ from netcomplexity import (
     is_connected,
     mean_information,
 )
+from netcomplexity import complexity
+from netcomplexity.complexity import MeanInformation
 
-from oracles import oracle_functional_complexity, oracle_subgraph_information
+from oracles import (
+    oracle_functional_complexity,
+    oracle_mean_information,
+    oracle_subgraph_information,
+)
 
 # brute-force enumeration values, frozen (see oracles.oracle_functional_complexity)
 P4_COMPLEXITY = 1.4309526058794129
@@ -34,6 +41,28 @@ def complete(n):
 
 def star(n):
     return build_topology(n, [(0, i) for i in range(1, n)])
+
+
+def random_digraph(rng, n, p):
+    """Each ordered pair is an arc with probability p; some arcs run both ways."""
+    edges = [e for e in itertools.permutations(range(n), 2) if rng.random() < p]
+    return edges, build_topology(n, edges, directed=True)
+
+
+def connected_graphs(seed, count, sizes, directed):
+    """Seeded graphs whose undirected view is connected, with their edges."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        n = rng.randint(*sizes)
+        if directed:
+            edges, g = random_digraph(rng, n, 0.3)
+        else:
+            edges = [e for e in itertools.combinations(range(n), 2) if rng.random() < 0.4]
+            g = build_topology(n, edges)
+        if is_connected(g):
+            out.append((edges, g))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -228,3 +257,83 @@ def test_auto_switch_respects_limit():
 def test_pooled_standard_error_zero_when_exhaustive():
     prof = functional_complexity(path(5))
     assert prof.pooled_standard_error == 0.0
+
+
+# ---------------------------------------------------------------------------
+# directed graphs: a member counts the nodes that can reach it
+
+
+def test_directed_mean_information_matches_oracle():
+    rng = random.Random(41)
+    for _ in range(10):
+        n = rng.randint(3, 7)
+        edges, g = random_digraph(rng, n, 0.3)
+        G = nx.DiGraph(edges)
+        G.add_nodes_from(range(n))
+        for r in range(1, n):
+            for size in range(1 + r, n + 1):
+                got = mean_information(g, size, r)
+                expected = oracle_mean_information(G, size, r)
+                assert got.value == pytest.approx(expected, abs=1e-12)
+                assert got.subset_count == math.comb(n, size)
+
+
+def test_directed_information_counts_reachers_not_reachables():
+    # out-star 0 -> 1, 0 -> 2: node 0 is reached by itself alone, each leaf
+    # by two nodes; counting reachable nodes instead would give 2 H(1/3)
+    g = build_topology(3, [(0, 1), (0, 2)], directed=True)
+    got = mean_information(g, 3, 1).value
+    assert got == pytest.approx(3 * binary_entropy(1 / 3), abs=1e-12)
+    assert got == pytest.approx(
+        oracle_subgraph_information(nx.DiGraph([(0, 1), (0, 2)]), (0, 1, 2), 1),
+        abs=1e-12,
+    )
+
+
+def test_directed_functional_complexity_matches_oracle():
+    for edges, g in connected_graphs(43, 10, (3, 6), directed=True):
+        expected = oracle_functional_complexity(g.node_count, edges, directed=True)
+        assert functional_complexity(g).complexity == pytest.approx(expected, abs=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# one pass per size against one cell at a time
+
+
+@pytest.mark.parametrize("directed", [False, True])
+def test_profile_cells_equal_single_cell_evaluation(directed):
+    pol = SamplingPolicy(sample_count=150, exhaustive_limit=20, seed=9)
+    kinds = set()
+    for _, g in connected_graphs(47, 6, (6, 9), directed):
+        prof = functional_complexity(g, pol)
+        for c in prof.cells:
+            kinds.add(c.sampled)
+            assert mean_information(g, c.size, c.scale, pol) == MeanInformation(
+                value=c.mean_information,
+                stderr=c.stderr,
+                subset_count=c.subset_count,
+                sampled=c.sampled,
+            )
+        whole = [c.mean_information for c in prof.cells if c.size == g.node_count]
+        assert [w for _, w in prof.whole_graph_information] == whole
+    assert kinds == {False, True}
+
+
+def test_kernel_values_do_not_depend_on_chunking(monkeypatch):
+    rng = random.Random(53)
+    _, g = random_digraph(rng, 12, 0.25)
+    adj = complexity._dense_adjacency(g)
+    members = np.array(
+        [sorted(rng.sample(range(12), 7)) for _ in range(700)], dtype=np.intp
+    )
+    ref = complexity._information_batch(adj, members, 5)
+    assert ref.shape == (5, 700)
+    cuts = sorted(rng.sample(range(1, 700), 6))
+    parts = [
+        complexity._information_batch(adj, part, 5)
+        for part in np.split(members, cuts)
+    ]
+    assert np.array_equal(np.concatenate(parts, axis=1), ref)
+    for chunk in (1, 3, 255, 1000):
+        monkeypatch.setattr(complexity, "_CHUNK", chunk)
+        assert np.array_equal(complexity._information_batch(adj, members, 5), ref)

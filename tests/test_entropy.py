@@ -74,6 +74,12 @@ def test_empirical_entropy_anchors():
     assert empirical_entropy({"only": 17}) == 0.0
 
 
+def test_single_symbol_entropy_is_exactly_zero():
+    for c in range(1, 2000):
+        assert empirical_entropy({"x": c}) == 0.0
+        assert empirical_entropy({"x": c, "unseen": 0}) == 0.0
+
+
 def test_empirical_entropy_matches_closed_form():
     counts = {0: 3, 1: 5, 2: 7, 3: 11}
     n = 26
