@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import statistics
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 from .graph import sample_stream
@@ -464,12 +464,8 @@ def gap_comparison(
     seeds = list(seeds)
     if len(seeds) < 2:
         raise ValueError("need at least two seeds to compare")
-    configs_a = [
-        ScenarioConfig(**{**_config_dict(config), "mac": mac_a, "seed": s}) for s in seeds
-    ]
-    configs_b = [
-        ScenarioConfig(**{**_config_dict(config), "mac": mac_b, "seed": s}) for s in seeds
-    ]
+    configs_a = [replace(config, mac=mac_a, seed=s) for s in seeds]
+    configs_b = [replace(config, mac=mac_b, seed=s) for s in seeds]
     means_a = [r.mean_gap for r in mapper(run_scenario, configs_a)]
     means_b = [r.mean_gap for r in mapper(run_scenario, configs_b)]
     diff = statistics.fmean(means_a) - statistics.fmean(means_b)
@@ -489,7 +485,3 @@ def gap_comparison(
         "ci_half_width": half,
         "separated": abs(diff) > half,
     }
-
-
-def _config_dict(config: ScenarioConfig) -> dict:
-    return {name: getattr(config, name) for name in ScenarioConfig.__dataclass_fields__}

@@ -217,7 +217,7 @@ _SAMPLING = (
           "max subsets per size before sampling kicks in"),
 )
 _ALLOCATION = (
-    Param("channels", _integer, 5),
+    Param("channels", _integer, 5, minimum=1),
     _NEIGHBORHOOD,
     Param("boundary", _text, "toroidal", choices=BOUNDARIES),
     Param("allocator", _text, "son", choices=ALLOCATORS),
@@ -236,9 +236,9 @@ COMMANDS = {
         Param("budget", _integer, 8, "deepest repair distance searched"),
         _MAX_SWEEPS,
         Param("cell_sample", _integer, None,
-              "perturb only this many cells per instance"),
+              "perturb only this many cells per instance", minimum=0),
         Param("channel_sample", _integer, None,
-              "force only this many channels per cell"),
+              "force only this many channels per cell", minimum=0),
     )),
     "excess-entropy": ("spatial structure of lattices", _with_shared(
         Param("lattices", _paths, (), "lattice files", flag="lattice"),
@@ -246,8 +246,8 @@ COMMANDS = {
               "generate sample lattices instead of reading files",
               choices=GENERATORS),
         Param("dims", _dims, "32x32", "generated lattice size WxH"),
-        Param("channels", _integer, 4),
-        Param("count", _integer, 10, "number of generated lattices"),
+        Param("channels", _integer, 4, minimum=1),
+        Param("count", _integer, 10, "number of generated lattices", minimum=1),
         _NEIGHBORHOOD,
         _MAX_SWEEPS,
         Param("mmax", _integer, 4, "deepest context size"),
@@ -543,8 +543,6 @@ def cmd_excess_entropy(args) -> int:
     generator_keys = ("generate", "dims", "channels", "count", "neighborhood",
                       "max_sweeps")
     if generator:
-        if params["count"] < 1:
-            raise ValueError("count must be >= 1")
         width, height = _width_height(params["dims"])
         samples = _generated_lattices(
             generator, width, height, params["channels"], params["count"],

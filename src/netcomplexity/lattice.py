@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
-from functools import lru_cache
+from dataclasses import dataclass
+from functools import lru_cache, partial
 from typing import Callable, Iterable
 
 import numpy as np
@@ -285,68 +285,35 @@ def repair_distance(
     clamped = r0 * width + c0
     grid[clamped] = forced_channel
 
-    conflicts: set[tuple[int, int]] = set()
-    for j in nbrs[clamped]:
-        if grid[j] == forced_channel:
-            conflicts.add((min(clamped, j), max(clamped, j)))
-
     changed: dict[int, int] = {}
 
-    def recolor(i: int, value: int) -> list[tuple[int, int, bool]]:
-        """Assign grid[i] = value, updating the conflict set; returns undo log."""
-        log: list[tuple[int, int, bool]] = []
-        for j in nbrs[i]:
-            pair = (min(i, j), max(i, j))
-            was = pair in conflicts
-            now = grid[j] == value
-            if was and not now:
-                conflicts.discard(pair)
-                log.append((pair[0], pair[1], True))
-            elif now and not was:
-                conflicts.add(pair)
-                log.append((pair[0], pair[1], False))
-        grid[i] = value
-        return log
-
-    def undo(i: int, old_value: int, log) -> None:
-        grid[i] = old_value
-        for a, b, was in log:
-            if was:
-                conflicts.add((a, b))
-            else:
-                conflicts.discard((a, b))
-
-    def lower_bound() -> int:
-        """Forced endpoints of clamped conflicts, plus disjoint free pairs."""
-        forced = set()
-        rest = []
-        for a, b in conflicts:
-            if a == clamped or b == clamped:
-                forced.add(b if a == clamped else a)
-            else:
-                rest.append((a, b))
-        used = set(forced)
-        bound = len(forced)
-        for a, b in sorted(rest):
+    def dfs(depth_left: int) -> bool:
+        # the start is conflict-free, so every conflict touches a cell whose
+        # channel differs from it: the clamped one or a changed one
+        conflicts = {
+            (i, j) if i < j else (j, i)
+            for i in (clamped, *changed)
+            for j in nbrs[i]
+            if grid[j] == grid[i]
+        }
+        if not conflicts:
+            return True
+        if depth_left == 0:
+            return False
+        pairs = sorted(conflicts)
+        # lower bound: forced endpoints of clamped conflicts, plus disjoint
+        # free pairs first-fit (a clamped pair's endpoint is already used)
+        used = {a if b == clamped else b for a, b in pairs if clamped in (a, b)}
+        bound = len(used)
+        for a, b in pairs:
             if a not in used and b not in used:
                 bound += 1
                 used.add(a)
                 used.add(b)
-        return bound
-
-    def dfs(depth_left: int) -> bool:
-        if not conflicts:
-            return True
-        if depth_left == 0 or lower_bound() > depth_left:
+        if bound > depth_left:
             return False
         # prefer a conflict touching the clamped cell: its repair endpoint is forced
-        pivot = None
-        for pair in sorted(conflicts):
-            if clamped in pair:
-                pivot = pair
-                break
-        if pivot is None:
-            pivot = min(conflicts)
+        pivot = next((pair for pair in pairs if clamped in pair), pairs[0])
         for endpoint in pivot:
             if endpoint == clamped or endpoint in changed:
                 continue
@@ -354,12 +321,11 @@ def repair_distance(
             for value in range(f_count):
                 if value == old:
                     continue
-                log = recolor(endpoint, value)
-                changed[endpoint] = value
+                grid[endpoint] = changed[endpoint] = value
                 if dfs(depth_left - 1):
                     return True
-                del changed[endpoint]
-                undo(endpoint, old, log)
+            del changed[endpoint]
+            grid[endpoint] = old
         return False
 
     for depth in range(budget + 1):
@@ -461,13 +427,13 @@ def _instance_lattice(
 
 
 def stability_instance_rows(
+    instance: int,
     allocator: str,
     width: int,
     height: int,
     channel_count: int,
     neighborhood: str,
     seed: int,
-    instance: int,
     budget: int,
     max_sweeps: int,
     boundary: str,
@@ -528,21 +494,17 @@ def stability_experiment(
     """
     if instance_count < 1:
         raise ValueError("instance_count must be >= 1")
-    args = [
-        (
-            allocator, width, height, channel_count, neighborhood,
-            seed, i, budget, max_sweeps, boundary, cell_sample, channel_sample,
-        )
-        for i in range(instance_count)
-    ]
+    instance_rows = partial(
+        stability_instance_rows,
+        allocator=allocator, width=width, height=height,
+        channel_count=channel_count, neighborhood=neighborhood, seed=seed,
+        budget=budget, max_sweeps=max_sweeps, boundary=boundary,
+        cell_sample=cell_sample, channel_sample=channel_sample,
+    )
     rows: list[StabilityRow] = []
-    for chunk in mapper(_stability_rows_star, args):
+    for chunk in mapper(instance_rows, range(instance_count)):
         rows.extend(chunk)
     return _summarize(allocator, rows, budget)
-
-
-def _stability_rows_star(args) -> list[StabilityRow]:
-    return stability_instance_rows(*args)
 
 
 # ---------------------------------------------------------------------------

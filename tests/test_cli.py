@@ -96,7 +96,8 @@ def test_unknown_config_key_is_config_error(tmp_path, capsys):
     assert "unknown config keys" in capsys.readouterr().err
 
 
-# (flags, config or None, parameter the error must name)
+# (flags, config or None, text the error must hold: the parameter's name,
+# and for an out-of-range count its minimum too)
 BAD_INPUT = (
     (("cfc", "--graph", "p4.edges"), {"samples": [1]}, "samples"),
     (("cfc", "--graph", "p4.edges"), {"samples": True}, "samples"),
@@ -111,6 +112,14 @@ BAD_INPUT = (
     (("abm", "--iterations", 5), {"seeds": []}, "seeds"),
     (("abm", "--iterations", 5, "--workers", 0), None, "workers"),
     (("abm", "--iterations", 5, "--workers", -3), None, "workers"),
+    (("son-stability", "--channels", 0), None, "channels must be >= 1"),
+    (("son-run", "--out", "x.lat", "--channels", 0), None, "channels must be >= 1"),
+    (("excess-entropy", "--generate", "iid", "--channels", 0), None,
+     "channels must be >= 1"),
+    (("excess-entropy", "--generate", "iid", "--count", 0), None,
+     "count must be >= 1"),
+    (("son-stability", "--cell-sample", -1), None, "cell_sample must be >= 0"),
+    (("son-stability", "--channel-sample", -2), None, "channel_sample must be >= 0"),
 )
 
 

@@ -1,5 +1,6 @@
 """Lattice allocation: conflicts, allocators, exact repair, stability."""
 
+import hashlib
 import random
 
 import numpy as np
@@ -237,6 +238,28 @@ def test_repair_matches_exhaustive_oracle_three_color():
             cells.tolist(), 3, "von-neumann", "toroidal", cell, ch, budget=4
         )
         assert got.distance == want
+
+
+def test_repair_witnesses_pinned_on_full_size_lattices():
+    # several repairs can share the minimum; the DFS branch order picks the
+    # witness, so every (distance, witness) of a full scan is pinned
+    digest = hashlib.sha256()
+    for neighborhood, channels in (("moore", 5), ("von-neumann", 3)):
+        for boundary in ("toroidal", "bounded"):
+            lat, report = son_allocate(8, 8, channels, neighborhood, seed=0,
+                                       boundary=boundary)
+            assert report.converged
+            censored = 0
+            for r in range(8):
+                for c in range(8):
+                    for ch in range(channels):
+                        rec = repair_distance(lat, (r, c), ch, budget=8)
+                        censored += rec.exceeded
+                        digest.update(repr((rec.distance, rec.changed_cells)).encode())
+            assert censored > 0, (neighborhood, boundary)
+    assert digest.hexdigest() == (
+        "0f1580e1062803263af3808c7a1dfa2520f8d6946bca18e0387d4b0d0699296e"
+    )
 
 
 # ---------------------------------------------------------------------------
