@@ -11,10 +11,13 @@ truth each iteration.
 from __future__ import annotations
 
 import math
+import random
 import statistics
-from collections import Counter
+from collections import Counter, deque
 from dataclasses import dataclass, replace
 from typing import NamedTuple
+
+import numpy as np
 
 from .graph import sample_stream
 
@@ -22,6 +25,9 @@ INACTIVE, MOVING, STATIC = 0, 1, 2
 
 LANES = ("east", "west", "south", "north")
 LANE_AXIS = {"east": "h", "west": "h", "south": "v", "north": "v"}
+# Sensors are numbered 0..4L-1 in sorted (lane, cell) order, so lane by lane
+# in this order (not LANES order) and cell by cell within a lane.
+SENSOR_LANES = tuple(sorted(LANES))
 # Right-hand traffic through the shared 2x2 block, cells keyed (row, col).
 # Each lane crosses two block cells; each block cell is shared by exactly
 # one horizontal and one vertical lane.
@@ -212,11 +218,11 @@ class TrafficWorld:
 
 
 class SensorField:
-    """One sensor per approach cell; reports are event-triggered."""
+    """One sensor per approach cell; reports are event-triggered.  `state`
+    is indexed by sensor id."""
 
     def __init__(self, road_length: int) -> None:
-        self.ids = [(lane, i) for lane in LANES for i in range(road_length)]
-        self.state = {sid: INACTIVE for sid in self.ids}
+        self.state = [INACTIVE] * (len(SENSOR_LANES) * road_length)
         self.reports_generated = 0
 
     def observe(self, world: TrafficWorld, pending: dict) -> int:
@@ -225,9 +231,9 @@ class SensorField:
         i.e. static cars on approach cells."""
         waiting = 0
         state = self.state
-        for lane in LANES:
-            ap = world.approach[lane]
-            for i, car in enumerate(ap):
+        sid = 0
+        for lane in SENSOR_LANES:
+            for car in world.approach[lane]:
                 if car is None:
                     new = INACTIVE
                 elif car.moved:
@@ -235,45 +241,68 @@ class SensorField:
                 else:
                     new = STATIC
                     waiting += 1
-                sid = (lane, i)
                 if state[sid] != new:
                     state[sid] = new
                     pending[sid] = new
                     self.reports_generated += 1
+                sid += 1
         return waiting
 
 
 class DecisionMaker:
-    """Sink of sensor reports; remembers the last delivered state per sensor."""
+    """Sink of sensor reports; remembers the last delivered state per sensor
+    id, and the axis each id's lane belongs to."""
 
     def __init__(self, road_length: int) -> None:
-        self.store = {(lane, i): INACTIVE for lane in LANES for i in range(road_length)}
+        self.store = [INACTIVE] * (len(SENSOR_LANES) * road_length)
+        self.axis = [LANE_AXIS[lane] for lane in SENSOR_LANES for _ in range(road_length)]
         self.perceived = {"h": 0, "v": 0}
 
     def apply(self, deliveries) -> None:
+        store = self.store
         for sid, new in deliveries:
-            old = self.store[sid]
+            old = store[sid]
             if old == new:
                 continue
-            axis = LANE_AXIS[sid[0]]
+            axis = self.axis[sid]
             if old == STATIC:
                 self.perceived[axis] -= 1
             if new == STATIC:
                 self.perceived[axis] += 1
-            self.store[sid] = new
+            store[sid] = new
 
     def perceived_waiting(self) -> int:
         return self.perceived["h"] + self.perceived["v"]
 
 
-class _Transmission:
-    __slots__ = ("sid", "state", "end", "corrupted")
+class UniformStream:
+    """The values of `rng.random()`, drawn a block at a time.
 
-    def __init__(self, sid, state, end) -> None:
-        self.sid = sid
-        self.state = state
-        self.end = end
-        self.corrupted = False
+    A numpy RandomState loaded with the Mersenne Twister state of `rng`
+    yields the same 53-bit uniforms as `rng.random()`, so `draw(n)` returns
+    the next n values `rng` would have returned, in order.  `rng` itself is
+    left where it was.
+    """
+
+    BLOCK = 4096
+
+    def __init__(self, rng: random.Random) -> None:
+        key = rng.getstate()[1]
+        self._source = np.random.RandomState()
+        self._source.set_state(("MT19937", np.array(key[:-1], dtype=np.uint32), key[-1]))
+        self._buffer: list[float] = []
+        self._pos = 0
+
+    def __call__(self, count: int) -> list[float]:
+        end = self._pos + count
+        if end > len(self._buffer):
+            rest = self._buffer[self._pos:]
+            fresh = self._source.random_sample(max(self.BLOCK, count - len(rest)))
+            self._buffer = rest + fresh.tolist()
+            self._pos, end = 0, count
+        out = self._buffer[self._pos:end]
+        self._pos = end
+        return out
 
 
 class MacChannel:
@@ -286,6 +315,10 @@ class MacChannel:
     (one collision event per slot); corrupted senders occupy the channel to
     the end of their message and then re-queue.  The ideal kind bypasses the
     channel entirely and delivers every pending report at once.
+
+    Sensors are integer ids.  Each slot, the eligible senders (pending and
+    not in flight) take one uniform each from `draw`, in id order; a CSMA
+    slot on a busy channel and an ideal slot take none.
     """
 
     def __init__(self, kind: str, persistence: float = 1.0, message_duration: int = 1) -> None:
@@ -295,50 +328,49 @@ class MacChannel:
         self.persistence = persistence
         self.duration = message_duration
         self.slot = 0
-        self.ongoing: list[_Transmission] = []
-        self.in_flight: set = set()
+        # (start slot, [(sid, state), ...]) per slot that had starters,
+        # oldest first; every message lasts `duration` slots, so at most one
+        # batch ends per slot and it is the oldest
+        self.ongoing: deque = deque()
+        self.in_flight: set[int] = set()
+        # a message is corrupted when a collision falls in any slot of its
+        # lifetime, i.e. when the latest collision is at or after its start
+        self.last_collision = -1
 
-    def round(self, pending: dict, rng) -> tuple[list, int]:
-        """Run one slot; mutates pending, returns (deliveries, collisions)."""
+    def round(self, pending: dict, draw) -> tuple[list, int]:
+        """Run one slot; mutates pending, returns (deliveries, collisions).
+        draw(n) returns the slot's next n uniforms in [0, 1)."""
         if self.kind == "ideal":
             deliveries = sorted(pending.items())
             pending.clear()
             self.slot += 1
             return deliveries, 0
         slot = self.slot
-        busy = bool(self.ongoing)
-        starters = []
-        for sid in sorted(pending):
-            if sid in self.in_flight:
-                continue
-            if self.kind == "csma" and busy:
-                continue
-            if rng.random() < self.persistence:
-                starters.append(sid)
-        collided = len(starters) >= 2 or (starters and busy)
-        for sid in starters:
-            tx = _Transmission(sid, pending.pop(sid), slot + self.duration - 1)
-            tx.corrupted = collided
-            self.ongoing.append(tx)
-            self.in_flight.add(sid)
+        ongoing = self.ongoing
+        busy = bool(ongoing)
         collisions = 0
-        if collided:
-            collisions = 1
-            for tx in self.ongoing:
-                tx.corrupted = True
+        if not (busy and self.kind == "csma"):
+            eligible = sorted(pending.keys() - self.in_flight)
+            if eligible:
+                p = self.persistence
+                starters = [sid for sid, u in zip(eligible, draw(len(eligible))) if u < p]
+                if starters:
+                    ongoing.append((slot, [(sid, pending.pop(sid)) for sid in starters]))
+                    self.in_flight.update(starters)
+                    if len(starters) >= 2 or busy:
+                        # corrupts every message on the air
+                        self.last_collision = slot
+                        collisions = 1
         deliveries = []
-        keep = []
-        for tx in self.ongoing:
-            if tx.end > slot:
-                keep.append(tx)
-                continue
-            self.in_flight.discard(tx.sid)
-            if tx.corrupted:
+        if ongoing and ongoing[0][0] + self.duration - 1 == slot:
+            start, batch = ongoing.popleft()
+            self.in_flight.difference_update(sid for sid, _ in batch)
+            if self.last_collision >= start:
                 # retry unless the sensor queued a fresher state meanwhile
-                pending.setdefault(tx.sid, tx.state)
+                for sid, state in batch:
+                    pending.setdefault(sid, state)
             else:
-                deliveries.append((tx.sid, tx.state))
-        self.ongoing = keep
+                deliveries = batch
         self.slot += 1
         return deliveries, collisions
 
@@ -387,7 +419,7 @@ def run_scenario(config: ScenarioConfig, check_invariants: bool = False) -> Scen
     the same seed see identical arrivals regardless of the MAC under test.
     """
     rng_world = sample_stream(config.seed, "world")
-    rng_mac = sample_stream(config.seed, "mac")
+    draw_mac = UniformStream(sample_stream(config.seed, "mac"))
     world = TrafficWorld(config.road_length, config.arrival_probability, rng_world)
     sensors = SensorField(config.road_length)
     dm = DecisionMaker(config.road_length)
@@ -405,7 +437,7 @@ def run_scenario(config: ScenarioConfig, check_invariants: bool = False) -> Scen
         delivered = 0
         collisions = 0
         for _ in range(config.slots_per_iteration):
-            out, hits = channel.round(pending, rng_mac)
+            out, hits = channel.round(pending, draw_mac)
             dm.apply(out)
             delivered += len(out)
             collisions += hits

@@ -150,7 +150,7 @@ class Param:
     flag: str | None = None
     config: bool = True
     required: bool = False
-    minimum: int | None = None
+    minimum: float | None = None
 
     def check(self, value):
         """The resolved value; a ValueError names the parameter.  null is
@@ -212,9 +212,9 @@ _MAX_SWEEPS = Param("max_sweeps", _integer, 10_000)
 _NEIGHBORHOOD = Param("neighborhood", _text, "moore", choices=tuple(NEIGHBORHOODS))
 _SAMPLING = (
     Param("mode", _text, "exhaustive", choices=SAMPLING_MODES),
-    Param("samples", _integer, 10_000, "subset draws per sampled size"),
+    Param("samples", _integer, 10_000, "subset draws per sampled size", minimum=1),
     Param("limit", _integer, 100_000,
-          "max subsets per size before sampling kicks in"),
+          "max subsets per size before sampling kicks in", minimum=1),
 )
 _ALLOCATION = (
     Param("channels", _integer, 5, minimum=1),
@@ -253,7 +253,7 @@ COMMANDS = {
         Param("mmax", _integer, 4, "deepest context size"),
         Param("radius", _integer, 2, "context template radius"),
         Param("tolerance", _number, 0.01,
-              "convergence tolerance on the entropy-rate tail"),
+              "convergence tolerance on the entropy-rate tail", minimum=0),
     )),
     "abm": ("intersection traffic over a shared channel", _with_shared(
         Param("iterations", _integer, 2000),
@@ -273,7 +273,7 @@ COMMANDS = {
     )),
     "correlate": ("complexity vs classical metrics", _with_shared(
         Param("kind", _text, "erdos-renyi", choices=ENSEMBLE_KINDS),
-        Param("nodes", _integer, 10),
+        Param("nodes", _integer, 10, minimum=2),
         Param("graphs", _integer, 200),
         Param("edge_probability", _number, None),
         Param("ring_degree", _integer, None),

@@ -2,8 +2,9 @@
 
 Deliberately share no code with the production pipelines: reachability goes
 through networkx shortest paths, enumeration through itertools, entropies
-through math/mpmath, and the lattice repair oracle enumerates recolorings
-literally.  Slow and obvious beats fast and clever here.
+through math/mpmath, the lattice repair oracle enumerates recolorings
+literally, and the MAC oracle keys sensors by (lane, index) and calls
+random() once per sender.  Slow and obvious beats fast and clever here.
 """
 
 from __future__ import annotations
@@ -206,3 +207,79 @@ def oracle_conditional_profile(samples, max_context, offsets):
             - oracle_entropy_bits(ctx.values())
         )
     return out
+
+
+# ---------------------------------------------------------------------------
+# slotted MAC channel
+
+
+class _OracleTransmission:
+    __slots__ = ("sid", "state", "end", "corrupted")
+
+    def __init__(self, sid, state, end) -> None:
+        self.sid = sid
+        self.state = state
+        self.end = end
+        self.corrupted = False
+
+
+class OracleMacChannel:
+    """Reference slotted channel with the semantics of abm.MacChannel.
+
+    Sensors are (lane, index) tuples; each slot visits the pending ones in
+    sorted order and calls rng.random() once per sender that may transmit.
+    Every transmission is its own object, marked corrupted by any collision
+    while it is on the air.
+    """
+
+    def __init__(self, kind: str, persistence: float, message_duration: int) -> None:
+        self.kind = kind
+        self.persistence = persistence
+        self.duration = message_duration
+        self.slot = 0
+        self.ongoing: list[_OracleTransmission] = []
+        self.in_flight: set = set()
+
+    def round(self, pending: dict, rng) -> tuple[list, int]:
+        """Run one slot; mutates pending, returns (deliveries, collisions)."""
+        if self.kind == "ideal":
+            deliveries = sorted(pending.items())
+            pending.clear()
+            self.slot += 1
+            return deliveries, 0
+        slot = self.slot
+        busy = bool(self.ongoing)
+        starters = []
+        for sid in sorted(pending):
+            if sid in self.in_flight:
+                continue
+            if self.kind == "csma" and busy:
+                continue
+            if rng.random() < self.persistence:
+                starters.append(sid)
+        collided = len(starters) >= 2 or (starters and busy)
+        for sid in starters:
+            tx = _OracleTransmission(sid, pending.pop(sid), slot + self.duration - 1)
+            tx.corrupted = collided
+            self.ongoing.append(tx)
+            self.in_flight.add(sid)
+        collisions = 0
+        if collided:
+            collisions = 1
+            for tx in self.ongoing:
+                tx.corrupted = True
+        deliveries = []
+        keep = []
+        for tx in self.ongoing:
+            if tx.end > slot:
+                keep.append(tx)
+                continue
+            self.in_flight.discard(tx.sid)
+            if tx.corrupted:
+                # retry unless the sensor queued a fresher state meanwhile
+                pending.setdefault(tx.sid, tx.state)
+            else:
+                deliveries.append((tx.sid, tx.state))
+        self.ongoing = keep
+        self.slot += 1
+        return deliveries, collisions

@@ -1,5 +1,6 @@
 """Intersection simulator: traffic mechanics, sensing, MAC, perception gap."""
 
+import hashlib
 import random
 
 import pytest
@@ -7,7 +8,9 @@ import pytest
 from netcomplexity.abm import (
     BOX_PATHS,
     INACTIVE,
+    LANE_AXIS,
     LANES,
+    MACS,
     MOVING,
     STATIC,
     Car,
@@ -16,6 +19,7 @@ from netcomplexity.abm import (
     ScenarioConfig,
     SensorField,
     TrafficWorld,
+    UniformStream,
     config_from_mapping,
     fixed_phase,
     gap_comparison,
@@ -23,6 +27,20 @@ from netcomplexity.abm import (
     queue_phase,
     run_scenario,
 )
+
+from oracles import OracleMacChannel
+
+
+def sensor_id(lane, index, road_length):
+    """A sensor's id: its position in sorted (lane, index) order."""
+    names = sorted((name, i) for name in LANES for i in range(road_length))
+    return names.index((lane, index))
+
+
+# sensor ids on a 20-cell road, for the channel tests
+EAST0 = sensor_id("east", 0, 20)
+WEST1 = sensor_id("west", 1, 20)
+SOUTH3 = sensor_id("south", 3, 20)
 
 
 def locate(world, ident):
@@ -200,22 +218,23 @@ def test_sensor_states_follow_cell_occupancy():
     pending = {}
     car = place_car(world, "east", 0)
     car.moved = True
+    east = [sensor_id("east", i, length) for i in range(length)]
     waiting = sensors.observe(world, pending)
     assert waiting == 0
-    assert sensors.state[("east", 0)] == MOVING
-    assert pending[("east", 0)] == MOVING
+    assert sensors.state[east[0]] == MOVING
+    assert pending[east[0]] == MOVING
     world.step()  # car advances to cell 1
     pending.clear()
     sensors.observe(world, pending)
-    assert sensors.state[("east", 0)] == INACTIVE
-    assert sensors.state[("east", 1)] == MOVING
+    assert sensors.state[east[0]] == INACTIVE
+    assert sensors.state[east[1]] == MOVING
     world.step()  # car reaches the stop line
     world.step()  # red light: car now static
     pending.clear()
     waiting = sensors.observe(world, pending)
     assert waiting == 1
-    assert sensors.state[("east", 2)] == STATIC
-    assert pending[("east", 2)] == STATIC
+    assert sensors.state[east[2]] == STATIC
+    assert pending[east[2]] == STATIC
 
 
 def test_reports_are_event_triggered():
@@ -235,15 +254,29 @@ def test_reports_are_event_triggered():
 
 def test_dm_tracks_static_counts_per_axis():
     dm = DecisionMaker(4)
-    dm.apply([(("east", 1), STATIC)])
+    east1, south0 = sensor_id("east", 1, 4), sensor_id("south", 0, 4)
+    dm.apply([(east1, STATIC)])
     assert dm.perceived == {"h": 1, "v": 0}
-    dm.apply([(("south", 0), STATIC), (("east", 1), STATIC)])
+    dm.apply([(south0, STATIC), (east1, STATIC)])
     assert dm.perceived == {"h": 1, "v": 1}
-    dm.apply([(("east", 1), INACTIVE)])
+    dm.apply([(east1, INACTIVE)])
     assert dm.perceived == {"h": 0, "v": 1}
     assert dm.perceived_waiting() == 1
     dm.apply([])
     assert dm.perceived_waiting() == 1
+
+
+def test_sensor_ids_follow_sorted_lane_order():
+    length = 3
+    names = sorted((lane, i) for lane in LANES for i in range(length))
+    assert names[length][0] == "north"  # sorted order, not LANES order
+    for sid, (lane, i) in enumerate(names):
+        world = TrafficWorld(length, 0.0, random.Random(0))
+        place_car(world, lane, i)
+        pending = {}
+        SensorField(length).observe(world, pending)
+        assert pending == {sid: MOVING}
+    assert DecisionMaker(length).axis == [LANE_AXIS[lane] for lane, _ in names]
 
 
 # ---------------------------------------------------------------------------
@@ -253,83 +286,125 @@ def test_dm_tracks_static_counts_per_axis():
 def test_single_pending_sensor_delivers_under_both_macs():
     for kind in ("aloha", "csma"):
         channel = MacChannel(kind)
-        pending = {("east", 0): STATIC}
-        delivered, collisions = channel.round(pending, random.Random(0))
-        assert delivered == [(("east", 0), STATIC)]
+        pending = {EAST0: STATIC}
+        delivered, collisions = channel.round(pending, UniformStream(random.Random(0)))
+        assert delivered == [(EAST0, STATIC)]
         assert collisions == 0
         assert pending == {}
 
 
 def test_two_pending_aloha_collide_and_retry():
     channel = MacChannel("aloha", persistence=1.0, message_duration=1)
-    pending = {("east", 0): STATIC, ("west", 1): MOVING}
-    delivered, collisions = channel.round(pending, random.Random(0))
+    pending = {EAST0: STATIC, WEST1: MOVING}
+    delivered, collisions = channel.round(pending, UniformStream(random.Random(0)))
     assert delivered == []
     assert collisions == 1
     # both senders re-queued for another attempt
-    assert pending == {("east", 0): STATIC, ("west", 1): MOVING}
+    assert pending == {EAST0: STATIC, WEST1: MOVING}
 
 
 def test_csma_defers_to_ongoing_transmission():
     channel = MacChannel("csma", persistence=1.0, message_duration=2)
-    rng = random.Random(0)
-    pending = {("east", 0): STATIC}
-    delivered, collisions = channel.round(pending, rng)
+    draw = UniformStream(random.Random(0))
+    pending = {EAST0: STATIC}
+    delivered, collisions = channel.round(pending, draw)
     assert delivered == [] and collisions == 0  # in flight for one more slot
-    pending[("west", 1)] = MOVING
-    delivered, collisions = channel.round(pending, rng)
-    assert delivered == [(("east", 0), STATIC)]
+    pending[WEST1] = MOVING
+    delivered, collisions = channel.round(pending, draw)
+    assert delivered == [(EAST0, STATIC)]
     assert collisions == 0
-    assert pending == {("west", 1): MOVING}  # deferred, not lost
-    delivered, collisions = channel.round(pending, rng)
+    assert pending == {WEST1: MOVING}  # deferred, not lost
+    delivered, collisions = channel.round(pending, draw)
     assert delivered == [] and collisions == 0
-    delivered, collisions = channel.round(pending, rng)
-    assert delivered == [(("west", 1), MOVING)]
+    delivered, collisions = channel.round(pending, draw)
+    assert delivered == [(WEST1, MOVING)]
 
 
 def test_csma_simultaneous_starters_collide():
     channel = MacChannel("csma", persistence=1.0, message_duration=2)
-    pending = {("east", 0): STATIC, ("west", 1): MOVING}
-    delivered, collisions = channel.round(pending, random.Random(0))
+    pending = {EAST0: STATIC, WEST1: MOVING}
+    delivered, collisions = channel.round(pending, UniformStream(random.Random(0)))
     assert delivered == [] and collisions == 1
-    delivered, collisions = channel.round(pending, random.Random(0))
+    delivered, collisions = channel.round(pending, UniformStream(random.Random(0)))
     assert delivered == []  # corrupted messages never deliver
-    assert pending == {("east", 0): STATIC, ("west", 1): MOVING}
+    assert pending == {EAST0: STATIC, WEST1: MOVING}
 
 
 def test_aloha_tramples_ongoing_transmission():
     channel = MacChannel("aloha", persistence=1.0, message_duration=2)
-    rng = random.Random(0)
-    pending = {("east", 0): STATIC}
-    channel.round(pending, rng)  # starts, occupies two slots
-    pending[("west", 1)] = MOVING
-    delivered, collisions = channel.round(pending, rng)  # no sensing: overlap
+    draw = UniformStream(random.Random(0))
+    pending = {EAST0: STATIC}
+    channel.round(pending, draw)  # starts, occupies two slots
+    pending[WEST1] = MOVING
+    delivered, collisions = channel.round(pending, draw)  # no sensing: overlap
     assert delivered == [] and collisions == 1
-    assert pending == {("east", 0): STATIC}  # first sender re-queued
+    assert pending == {EAST0: STATIC}  # first sender re-queued
     # with persistence 1 the re-queued sender restarts at once and collides
     # with the still-occupying second message: the livelock regime
-    delivered, collisions = channel.round(pending, rng)
+    delivered, collisions = channel.round(pending, draw)
     assert delivered == [] and collisions == 1
-    assert pending == {("west", 1): MOVING}
+    assert pending == {WEST1: MOVING}
 
 
 def test_corrupted_retry_keeps_fresher_pending_state():
     channel = MacChannel("aloha", persistence=1.0, message_duration=2)
-    rng = random.Random(0)
-    pending = {("east", 0): STATIC}
-    channel.round(pending, rng)
-    pending[("east", 0)] = INACTIVE  # state changed while in flight
-    pending[("west", 1)] = MOVING  # second sender corrupts the channel
-    channel.round(pending, rng)
-    assert pending[("east", 0)] == INACTIVE  # retry does not clobber it
+    draw = UniformStream(random.Random(0))
+    pending = {EAST0: STATIC}
+    channel.round(pending, draw)
+    pending[EAST0] = INACTIVE  # state changed while in flight
+    pending[WEST1] = MOVING  # second sender corrupts the channel
+    channel.round(pending, draw)
+    assert pending[EAST0] == INACTIVE  # retry does not clobber it
 
 
 def test_ideal_channel_delivers_everything_at_once():
     channel = MacChannel("ideal")
-    pending = {("east", 0): STATIC, ("south", 3): MOVING}
-    delivered, collisions = channel.round(pending, random.Random(0))
+    pending = {EAST0: STATIC, SOUTH3: MOVING}
+    delivered, collisions = channel.round(pending, UniformStream(random.Random(0)))
     assert delivered == sorted(delivered)
     assert len(delivered) == 2 and collisions == 0 and pending == {}
+
+
+def test_uniform_stream_replays_random_across_refills():
+    block = UniformStream.BLOCK
+    reference = random.Random("uniform-stream")
+    source = random.Random("uniform-stream")
+    state = source.getstate()
+    draw = UniformStream(source)
+    # empty and single requests, one that crosses a refill, and two larger
+    # than a block, the second of which empties the buffer exactly
+    for count in (0, 1, block - 100, 0, 200, 1, block + 900, 2 * block + 5, 1, 0):
+        assert draw(count) == [reference.random() for _ in range(count)]
+    assert source.getstate() == state  # the source stream is not advanced
+
+
+@pytest.mark.parametrize("kind", MACS)
+@pytest.mark.parametrize("duration", (1, 2, 3))
+@pytest.mark.parametrize("persistence", (0.05, 0.3, 1.0))
+def test_channel_matches_tuple_key_oracle(kind, duration, persistence):
+    length = 5
+    names = sorted((lane, i) for lane in LANES for i in range(length))
+    tag = f"mac-oracle:{kind}:{duration}:{persistence}"
+    schedule = random.Random(tag + ":schedule")
+    oracle, rng = OracleMacChannel(kind, persistence, duration), random.Random(tag)
+    channel, draw = MacChannel(kind, persistence, duration), UniformStream(random.Random(tag))
+    oracle_pending, pending = {}, {}
+    events = 0
+    for _ in range(300):
+        # bursts and lulls of fresh reports, latest state wins
+        for _ in range(schedule.choice((0, 0, 1, 2, 6))):
+            sid = schedule.randrange(len(names))
+            state = schedule.choice((INACTIVE, MOVING, STATIC))
+            oracle_pending[names[sid]] = state
+            pending[sid] = state
+        want_out, want_hits = oracle.round(oracle_pending, rng)
+        out, hits = channel.round(pending, draw)
+        assert [(names[sid], state) for sid, state in out] == want_out
+        assert hits == want_hits
+        assert {names[sid]: state for sid, state in pending.items()} == oracle_pending
+        events += len(out) + hits
+    assert events > 0
+    assert draw(1) == [rng.random()]  # both consumed the same number of draws
 
 
 def test_unknown_mac_rejected():
@@ -401,6 +476,25 @@ def test_gap_comparison_separates_the_macs():
     assert rep["separated"]
     assert abs(rep["difference"]) > rep["ci_half_width"]
     assert len(rep["means_a"]) == len(rep["means_b"]) == 6
+
+
+# sha256 of each run's trace and summary, captured from the channel that
+# keyed sensors by (lane, index) and drew one random() per sender: the
+# 2000-iteration runs reach the collapsed-backlog regime
+LONG_RUN_DIGESTS = {
+    ("aloha", 1): "54551f241ba62dea8e7d1df57feb869135c14023fa52dc6f5b804240ace0705a",
+    ("aloha", 2): "2495557a95569d37f43722bdd4934f9a5380ecbadbb2adb6d24cd8fdc7a48cb0",
+    ("csma", 1): "e5d04b4ffaff2d7416ae4f2ef8f4573d80c7ed2297d231530eb25652a1c3d7fc",
+    ("csma", 2): "bbb3b0ba84f365db53f2e027607dd121261d537b6113726dfc35aed6a986131d",
+}
+
+
+@pytest.mark.parametrize("mac,seed", sorted(LONG_RUN_DIGESTS))
+def test_long_runs_pinned(mac, seed):
+    res = run_scenario(mac_comparison_config(iterations=2000, mac=mac, seed=seed))
+    body = repr(([tuple(row) for row in res.trace], res.delivery_ratio,
+                 res.collision_rate, res.reports_generated, res.remaining))
+    assert hashlib.sha256(body.encode()).hexdigest() == LONG_RUN_DIGESTS[mac, seed]
 
 
 def test_gap_comparison_needs_two_seeds():

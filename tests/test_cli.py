@@ -120,6 +120,16 @@ BAD_INPUT = (
      "count must be >= 1"),
     (("son-stability", "--cell-sample", -1), None, "cell_sample must be >= 0"),
     (("son-stability", "--channel-sample", -2), None, "channel_sample must be >= 0"),
+    (("correlate", "--graphs", 2, "--nodes", 0), None, "nodes must be >= 2"),
+    (("correlate", "--graphs", 2, "--mode", "uniform-sample", "--samples", -1), None,
+     "samples must be >= 1"),
+    # the library's own message, "exhaustive_limit must be >= 1", holds the
+    # shorter text
+    (("cfc", "--graph", "p4.edges", "--limit", 0), None, "limit must be >= 1, got 0"),
+    (("excess-entropy", "--generate", "iid", "--dims", "8x8", "--tolerance", -1), None,
+     "tolerance must be >= 0"),
+    (("cfc", "--graph", "p4.edges", "--mode", "uniform-sample"), {"samples": 0},
+     "samples must be >= 1"),
 )
 
 
