@@ -19,7 +19,6 @@ from .graph import (
     clustering_coefficient,
     diameter,
     is_connected,
-    reachability_count,
     read_edge_list,
     sample_stream,
     write_edge_list,
@@ -27,7 +26,6 @@ from .graph import (
 from .complexity import (
     ComplexityProfile,
     MeanInformation,
-    binary_entropy,
     functional_complexity,
     mean_information,
 )
@@ -57,7 +55,6 @@ from .abm import (
     PerceptionRecord,
     ScenarioConfig,
     ScenarioResult,
-    config_from_mapping,
     gap_comparison,
     mac_comparison_config,
     run_scenario,
@@ -85,14 +82,12 @@ __all__ = [
     "clustering_coefficient",
     "diameter",
     "is_connected",
-    "reachability_count",
     "read_edge_list",
     "sample_stream",
     "write_edge_list",
     # complexity
     "ComplexityProfile",
     "MeanInformation",
-    "binary_entropy",
     "functional_complexity",
     "mean_information",
     # entropy
@@ -119,7 +114,6 @@ __all__ = [
     "PerceptionRecord",
     "ScenarioConfig",
     "ScenarioResult",
-    "config_from_mapping",
     "gap_comparison",
     "mac_comparison_config",
     "run_scenario",

@@ -12,14 +12,13 @@ from __future__ import annotations
 
 import math
 import random
-import statistics
 from collections import Counter, deque
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
 
-from .graph import sample_stream
+from .graph import mean_and_stderr, sample_stream
 
 INACTIVE, MOVING, STATIC = 0, 1, 2
 
@@ -79,15 +78,6 @@ class ScenarioConfig:
             raise ValueError("message_duration must be >= 1")
         if self.slots_per_iteration < 1:
             raise ValueError("slots_per_iteration must be >= 1")
-
-
-def config_from_mapping(data: dict) -> ScenarioConfig:
-    """Build a config from a parsed mapping, rejecting unknown keys."""
-    fields = set(ScenarioConfig.__dataclass_fields__)
-    unknown = set(data) - fields
-    if unknown:
-        raise ValueError(f"unknown config keys {sorted(unknown)}")
-    return ScenarioConfig(**data)
 
 
 def mac_comparison_config(**overrides) -> ScenarioConfig:
@@ -500,19 +490,18 @@ def gap_comparison(
     configs_b = [replace(config, mac=mac_b, seed=s) for s in seeds]
     means_a = [r.mean_gap for r in mapper(run_scenario, configs_a)]
     means_b = [r.mean_gap for r in mapper(run_scenario, configs_b)]
-    diff = statistics.fmean(means_a) - statistics.fmean(means_b)
-    half = 1.96 * math.sqrt(
-        statistics.variance(means_a) / len(seeds)
-        + statistics.variance(means_b) / len(seeds)
-    )
+    mean_a, stderr_a = mean_and_stderr(means_a)
+    mean_b, stderr_b = mean_and_stderr(means_b)
+    diff = mean_a - mean_b
+    half = 1.96 * math.sqrt(stderr_a ** 2 + stderr_b ** 2)
     return {
         "mac_a": mac_a,
         "mac_b": mac_b,
         "seeds": seeds,
         "means_a": means_a,
         "means_b": means_b,
-        "mean_a": statistics.fmean(means_a),
-        "mean_b": statistics.fmean(means_b),
+        "mean_a": mean_a,
+        "mean_b": mean_b,
         "difference": diff,
         "ci_half_width": half,
         "separated": abs(diff) > half,

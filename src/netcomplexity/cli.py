@@ -37,6 +37,7 @@ from .graph import (
     SAMPLING_MODES,
     InputFormatError,
     SamplingPolicy,
+    mean_and_stderr,
     read_edge_list,
     sample_stream,
 )
@@ -250,8 +251,8 @@ COMMANDS = {
         Param("count", _integer, 10, "number of generated lattices", minimum=1),
         _NEIGHBORHOOD,
         _MAX_SWEEPS,
-        Param("mmax", _integer, 4, "deepest context size"),
-        Param("radius", _integer, 2, "context template radius"),
+        Param("mmax", _integer, 4, "deepest context size", minimum=1),
+        Param("radius", _integer, 2, "context template radius", minimum=1),
         Param("tolerance", _number, 0.01,
               "convergence tolerance on the entropy-rate tail", minimum=0),
     )),
@@ -274,7 +275,7 @@ COMMANDS = {
     "correlate": ("complexity vs classical metrics", _with_shared(
         Param("kind", _text, "erdos-renyi", choices=ENSEMBLE_KINDS),
         Param("nodes", _integer, 10, minimum=2),
-        Param("graphs", _integer, 200),
+        Param("graphs", _integer, 200, minimum=0),
         Param("edge_probability", _number, None),
         Param("ring_degree", _integer, None),
         Param("rewiring_probability", _number, None),
@@ -611,15 +612,9 @@ def cmd_abm(args) -> int:
             f"remaining={res.remaining} blocked_arrivals={res.blocked_arrivals} "
             f"reports={res.reports_generated}"
         )
-    means = [res.mean_gap for res in results]
-    grand = sum(means) / len(means)
-    if len(means) > 1:
-        var = sum((m - grand) ** 2 for m in means) / (len(means) - 1)
-        spread = (var / len(means)) ** 0.5
-    else:
-        spread = 0.0
+    grand, spread = mean_and_stderr([res.mean_gap for res in results])
     summary.append(
-        f"# aggregate: seeds={len(means)} mean_gap={grand!r} stderr={spread!r}"
+        f"# aggregate: seeds={len(results)} mean_gap={grand!r} stderr={spread!r}"
     )
     _write_csv(
         args, params, json.dumps(seeds),
@@ -651,11 +646,11 @@ def cmd_correlate(args) -> int:
     with _mapper(args.workers, spec.graph_count) as mapper:
         report = correlation_report(spec, policy=_policy(params), mapper=mapper)
 
-    labels = dict(METRIC_FIELDS)
+    label_of = dict(METRIC_FIELDS)
     footer_rows = []
     notes = []
     for corr in report.correlations:
-        label = labels[corr.metric]
+        label = label_of[corr.metric]
         if corr.rho is None:
             footer_rows.append((label, "degenerate", "", "", ""))
             notes.append(f"# note: {label}: {corr.note}")

@@ -30,15 +30,6 @@ _BATCH = 4096  # subsets per batch; fixes the summation order of each cell
 _CHUNK = 256  # subsets per kernel pass; bounds the float32 stacks in memory
 
 
-def binary_entropy(p: float) -> float:
-    """Shannon entropy (bits) of a Bernoulli(p) variable; 0*log0 = 0."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"probability {p} outside [0, 1]")
-    if p == 0.0 or p == 1.0:
-        return 0.0
-    return -(p * math.log2(p) + (1.0 - p) * math.log2(1.0 - p))
-
-
 # ---------------------------------------------------------------------------
 # batched reachability kernel
 

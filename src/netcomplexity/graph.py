@@ -1,11 +1,9 @@
-"""Functional topologies: validated graphs, bounded reachability, classical
-metrics, the subset sampling policy, and the edge-list file format.
+"""Functional topologies: validated graphs, classical metrics, the subset
+sampling policy, seeded streams, and the edge-list file format.
 
 Nodes are dense integer ids 0..N-1.  Undirected edges are stored once as
 (min, max) pairs.  Classical metrics (diameter, average path length,
-clustering) use the undirected view of the graph; bounded reachability on a
-directed graph follows edge direction and counts the nodes that can reach
-the target.
+clustering) use the undirected view of the graph.
 """
 
 from __future__ import annotations
@@ -34,48 +32,21 @@ class FunctionalTopology:
     node_count: int
     edges: tuple[tuple[int, int], ...]
     directed: bool = False
-    labels: tuple[str, ...] | None = None
-
-    @cached_property
-    def successors(self) -> tuple[tuple[int, ...], ...]:
-        """Out-neighbors per node (undirected: all neighbors)."""
-        adj: list[list[int]] = [[] for _ in range(self.node_count)]
-        for u, v in self.edges:
-            adj[u].append(v)
-            if not self.directed:
-                adj[v].append(u)
-        return tuple(tuple(sorted(a)) for a in adj)
-
-    @cached_property
-    def predecessors(self) -> tuple[tuple[int, ...], ...]:
-        """In-neighbors per node (undirected: all neighbors)."""
-        if not self.directed:
-            return self.successors
-        adj: list[list[int]] = [[] for _ in range(self.node_count)]
-        for u, v in self.edges:
-            adj[v].append(u)
-        return tuple(tuple(sorted(a)) for a in adj)
 
     @cached_property
     def undirected_neighbors(self) -> tuple[tuple[int, ...], ...]:
         """Neighbors ignoring direction; used by the classical metrics."""
-        if not self.directed:
-            return self.successors
         adj: list[set[int]] = [set() for _ in range(self.node_count)]
         for u, v in self.edges:
             adj[u].add(v)
             adj[v].add(u)
         return tuple(tuple(sorted(a)) for a in adj)
 
-    def degree(self, n: int) -> int:
-        return len(self.undirected_neighbors[n])
-
 
 def build_topology(
     node_count: int,
     edges: Iterable[Sequence[int]],
     directed: bool = False,
-    labels: Sequence[str] | None = None,
 ) -> FunctionalTopology:
     """Validate and construct a FunctionalTopology.
 
@@ -84,10 +55,6 @@ def build_topology(
     """
     if node_count < 1:
         raise ValueError(f"node_count must be >= 1, got {node_count}")
-    if labels is not None and len(labels) != node_count:
-        raise ValueError(
-            f"got {len(labels)} labels for {node_count} nodes"
-        )
     seen: set[tuple[int, int]] = set()
     canonical: list[tuple[int, int]] = []
     for edge in edges:
@@ -107,38 +74,11 @@ def build_topology(
         node_count=node_count,
         edges=tuple(canonical),
         directed=directed,
-        labels=tuple(labels) if labels is not None else None,
     )
 
 
 # ---------------------------------------------------------------------------
-# reachability and classical metrics
-
-
-def reachability_count(g: FunctionalTopology, n: int, r: int) -> int:
-    """Number of nodes within r hops that can reach node n, counting n itself.
-
-    Directed graphs follow edge direction (BFS over predecessors).
-    """
-    if r < 0:
-        raise ValueError(f"radius must be >= 0, got {r}")
-    if not (0 <= n < g.node_count):
-        raise ValueError(f"node {n} outside 0..{g.node_count - 1}")
-    adj = g.predecessors
-    seen = {n}
-    frontier = [n]
-    for _ in range(r):
-        nxt = []
-        for u in frontier:
-            for w in adj[u]:
-                if w in seen:
-                    continue
-                seen.add(w)
-                nxt.append(w)
-        if not nxt:
-            break
-        frontier = nxt
-    return len(seen)
+# classical metrics
 
 
 def _bfs_distances(adj: Sequence[Sequence[int]], source: int) -> list[int]:
@@ -269,6 +209,17 @@ def sample_stream(seed: int, *parts: object) -> random.Random:
     """
     tag = ":".join(str(p) for p in (seed, *parts))
     return random.Random(tag)
+
+
+def mean_and_stderr(values: Sequence[float]) -> tuple[float, float]:
+    """Sample mean and its standard error.  The mean is nan without values;
+    the error is 0.0 below two values."""
+    n = len(values)
+    mean = sum(values) / n if n else float("nan")
+    if n < 2:
+        return mean, 0.0
+    var = sum((v - mean) ** 2 for v in values) / (n - 1)
+    return mean, math.sqrt(var / n)
 
 
 # ---------------------------------------------------------------------------

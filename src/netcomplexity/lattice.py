@@ -10,7 +10,6 @@ one cell is forced to a given channel.
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass
 from functools import lru_cache, partial
@@ -18,7 +17,7 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .graph import InputFormatError, sample_stream
+from .graph import InputFormatError, mean_and_stderr, sample_stream
 
 NEIGHBORHOODS = {
     "moore": ((-1, -1), (-1, 0), (-1, 1), (0, -1), (0, 1), (1, -1), (1, 0), (1, 1)),
@@ -235,24 +234,6 @@ class StabilityRecord:
         return self.distance is None
 
 
-def apply_repair(lat: ChannelLattice, record: StabilityRecord) -> ChannelLattice:
-    """Lattice with the forced perturbation and the witness changes applied."""
-    if record.exceeded:
-        raise ValueError("cannot apply a budget-exceeded record")
-    cells = lat.cells.copy()
-    cells[record.cell] = record.forced_channel
-    for (r, c), ch in record.changed_cells:
-        cells[r, c] = ch
-    return ChannelLattice(
-        width=lat.width,
-        height=lat.height,
-        channel_count=lat.channel_count,
-        cells=cells,
-        neighborhood=lat.neighborhood,
-        boundary=lat.boundary,
-    )
-
-
 def repair_distance(
     lat: ChannelLattice,
     cell: tuple[int, int],
@@ -380,12 +361,7 @@ def _summarize(allocator: str, rows: list[StabilityRow], budget: int) -> Stabili
     hist: dict[int, int] = {}
     for d in finite:
         hist[d] = hist.get(d, 0) + 1
-    mean = sum(finite) / len(finite) if finite else float("nan")
-    if len(finite) > 1:
-        var = sum((d - mean) ** 2 for d in finite) / (len(finite) - 1)
-        stderr = math.sqrt(var / len(finite))
-    else:
-        stderr = 0.0
+    mean, stderr = mean_and_stderr(finite)
     return StabilityStudy(
         allocator=allocator,
         rows=tuple(rows),

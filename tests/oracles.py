@@ -3,8 +3,10 @@
 Deliberately share no code with the production pipelines: reachability goes
 through networkx shortest paths, enumeration through itertools, entropies
 through math/mpmath, the lattice repair oracle enumerates recolorings
-literally, and the MAC oracle keys sensors by (lane, index) and calls
-random() once per sender.  Slow and obvious beats fast and clever here.
+literally, the repair witness checker applies a witness and lists the
+conflicts it leaves, and the MAC oracle keys sensors by (lane, index) and
+calls random() once per sender.  Slow and obvious beats fast and clever
+here.
 """
 
 from __future__ import annotations
@@ -139,6 +141,24 @@ def oracle_repair_distance(
                 if conflict_free(dict(zip(subset, values))):
                     return k
     return None
+
+
+def oracle_witness_conflicts(lat, record):
+    """Neighbor pairs sharing a channel once the record's forced channel and
+    then its witness recolorings are applied to lat; [] when the witness is
+    a repair.  A witness must recolor `distance` cells, never the clamped
+    one."""
+    assert len(record.changed_cells) == (record.distance or 0)
+    grid = {
+        (r, c): int(lat.cells[r][c])
+        for r in range(lat.height) for c in range(lat.width)
+    }
+    grid[record.cell] = record.forced_channel
+    for cell, channel in record.changed_cells:
+        assert cell != record.cell, "witness recolors the clamped cell"
+        grid[cell] = channel
+    pairs = oracle_neighbor_pairs(lat.width, lat.height, lat.neighborhood, lat.boundary)
+    return [(a, b) for a, b in pairs if grid[a] == grid[b]]
 
 
 def _cheb(a, b, width, height, boundary):

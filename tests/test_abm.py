@@ -20,7 +20,6 @@ from netcomplexity.abm import (
     SensorField,
     TrafficWorld,
     UniformStream,
-    config_from_mapping,
     fixed_phase,
     gap_comparison,
     mac_comparison_config,
@@ -85,12 +84,6 @@ def test_config_validation():
     ):
         with pytest.raises(ValueError):
             ScenarioConfig(**bad)
-
-
-def test_config_from_mapping_rejects_unknown_keys():
-    assert config_from_mapping({"iterations": 5}).iterations == 5
-    with pytest.raises(ValueError):
-        config_from_mapping({"iterations": 5, "speed": 2})
 
 
 # ---------------------------------------------------------------------------

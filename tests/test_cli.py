@@ -3,9 +3,11 @@
 import json
 import subprocess
 import sys
+import types
 
 import pytest
 
+import netcomplexity
 from netcomplexity import (
     ScenarioConfig,
     build_topology,
@@ -96,8 +98,9 @@ def test_unknown_config_key_is_config_error(tmp_path, capsys):
     assert "unknown config keys" in capsys.readouterr().err
 
 
-# (flags, config or None, text the error must hold: the parameter's name,
-# and for an out-of-range count its minimum too)
+# (flags, config or None, the start of the error message: the parameter's
+# name, and for an out-of-range value its minimum too; the rejected value is
+# the last flag, or the config's value of that name)
 BAD_INPUT = (
     (("cfc", "--graph", "p4.edges"), {"samples": [1]}, "samples"),
     (("cfc", "--graph", "p4.edges"), {"samples": True}, "samples"),
@@ -123,13 +126,16 @@ BAD_INPUT = (
     (("correlate", "--graphs", 2, "--nodes", 0), None, "nodes must be >= 2"),
     (("correlate", "--graphs", 2, "--mode", "uniform-sample", "--samples", -1), None,
      "samples must be >= 1"),
-    # the library's own message, "exhaustive_limit must be >= 1", holds the
-    # shorter text
     (("cfc", "--graph", "p4.edges", "--limit", 0), None, "limit must be >= 1, got 0"),
     (("excess-entropy", "--generate", "iid", "--dims", "8x8", "--tolerance", -1), None,
      "tolerance must be >= 0"),
     (("cfc", "--graph", "p4.edges", "--mode", "uniform-sample"), {"samples": 0},
      "samples must be >= 1"),
+    (("correlate", "--graphs", -1), None, "graphs must be >= 0"),
+    (("excess-entropy", "--generate", "iid", "--dims", "8x8", "--mmax", 0), None,
+     "mmax must be >= 1"),
+    (("excess-entropy", "--generate", "iid", "--dims", "8x8", "--radius", 0), None,
+     "radius must be >= 1"),
 )
 
 
@@ -147,7 +153,12 @@ def test_bad_value_exits_two_naming_the_key(tmp_path, monkeypatch, capsys,
         argv += ["--config", "cfg.json"]
     assert run_cli(*argv) == 2
     err = capsys.readouterr().err
-    assert "error:" in err and key in err
+    name = key.split()[0]
+    lines = [line for line in err.splitlines() if line.startswith(f"error: {name} must")]
+    assert lines and lines[0].startswith(f"error: {key}")
+    if " >= " in key:
+        value = flags[-1] if config is None else config[name]
+        assert float(lines[0].rpartition(", got ")[2]) == value
     assert "Traceback" not in err
 
 
@@ -158,6 +169,15 @@ def test_module_entry_point_runs():
     )
     assert proc.returncode == 0
     assert "netcomplexity 0.1.0" in proc.stdout
+
+
+def test_all_lists_the_public_bindings():
+    # a stale name in __all__ would make `from netcomplexity import *` fail
+    public = {
+        name for name, value in vars(netcomplexity).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    assert sorted(netcomplexity.__all__) == sorted(public | {"__version__"})
 
 
 def test_cli_import_leaves_networkx_unloaded():

@@ -201,22 +201,17 @@ def test_profile_validation():
 
 
 def test_excess_entropy_partial_sum_anchor():
-    excess, rate, converged = excess_entropy([1.0, 0.6, 0.5, 0.5], "auto")
+    excess, rate, converged = excess_entropy([1.0, 0.6, 0.5, 0.5])
     assert excess == pytest.approx(0.6, abs=1e-12)
     assert rate == 0.5
     assert converged
 
 
-def test_excess_entropy_explicit_rate():
-    excess, rate, converged = excess_entropy([1.0, 0.6], entropy_rate=0.5)
-    assert excess == pytest.approx(0.6, abs=1e-12)
-    assert rate == 0.5
-    assert not converged  # last two h values differ by 0.4 > tolerance
-
-
 def test_excess_entropy_edge_cases():
-    excess, rate, converged = excess_entropy([0.7], "auto")
+    excess, rate, converged = excess_entropy([0.7])
     assert excess == 0.0 and rate == 0.7 and not converged
+    _, _, converged = excess_entropy([1.0, 0.6])
+    assert not converged  # last two h values differ by 0.4 > tolerance
     with pytest.raises(ValueError):
         excess_entropy([])
 

@@ -17,7 +17,6 @@ from netcomplexity import (
     diameter,
     is_connected,
     mean_information,
-    reachability_count,
     read_edge_list,
     sample_stream,
     write_edge_list,
@@ -68,30 +67,22 @@ def test_undirected_edges_canonicalized():
     assert g.edges == ((0, 2),)
 
 
-def test_labels_length_checked():
-    with pytest.raises(ValueError, match="labels"):
-        build_topology(2, [(0, 1)], labels=("a",))
-
-
 # ---------------------------------------------------------------------------
-# reachability
+# reachability, through the whole-graph information of mean_information
 
 
 def test_reach_star_center_one_hop():
-    # leaf of a 4-node star: itself plus the hub
-    assert reachability_count(star(4), 1, 1) == 2
+    # each leaf of a 4-node star is reached by itself and the hub (one bit),
+    # the hub by every node (zero bits)
+    assert mean_information(star(4), 4, 1).value == 3.0
 
 
 def test_reach_star_two_hops_covers_all():
-    assert reachability_count(star(4), 1, 2) == 4
+    assert mean_information(star(4), 4, 2).value == 0.0
 
 
 def test_reach_complete_one_hop():
-    assert reachability_count(complete(5), 0, 1) == 5
-
-
-def test_reach_zero_radius_is_self():
-    assert reachability_count(path(4), 2, 0) == 1
+    assert mean_information(complete(5), 5, 1).value == 0.0
 
 
 def test_reach_confined_to_view():
@@ -106,26 +97,8 @@ def test_reach_confined_to_view():
     assert got.value == pytest.approx(expected, abs=1e-12)
 
 
-def test_reach_directed_counts_incoming():
-    # chain 0 -> 1 -> 2: two nodes can reach 2 within 2 hops, plus itself
-    g = build_topology(3, [(0, 1), (1, 2)], directed=True)
-    assert reachability_count(g, 2, 2) == 3
-    assert reachability_count(g, 0, 2) == 1
-
-
-def test_reach_monotone_in_radius():
-    rng = random.Random(7)
-    for _ in range(25):
-        n = rng.randint(2, 8)
-        edges = [e for e in itertools.combinations(range(n), 2) if rng.random() < 0.4]
-        g = build_topology(n, edges)
-        node = rng.randrange(n)
-        counts = [reachability_count(g, node, r) for r in range(n + 1)]
-        assert counts == sorted(counts)
-        assert counts[0] == 1
-
-
 def test_reach_at_diameter_covers_component():
+    # every node is reached by all N nodes, so each contributes H(1) = 0
     rng = random.Random(11)
     found = 0
     while found < 10:
@@ -135,8 +108,7 @@ def test_reach_at_diameter_covers_component():
         if not is_connected(g):
             continue
         found += 1
-        d = diameter(g)
-        assert all(reachability_count(g, v, d) == n for v in range(n))
+        assert mean_information(g, n, diameter(g)).value == 0.0
 
 
 # ---------------------------------------------------------------------------
