@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import random
-from collections import Counter, deque
+from collections import deque
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
@@ -379,7 +379,6 @@ class ScenarioResult:
     config: ScenarioConfig
     trace: tuple[PerceptionRecord, ...]
     mean_gap: float
-    gap_histogram: tuple[tuple[int, int], ...]
     delivery_ratio: float
     collision_rate: float
     created: int
@@ -453,13 +452,11 @@ def run_scenario(config: ScenarioConfig, check_invariants: bool = False) -> Scen
             if len({c.ident for c in cars}) != len(cars):
                 raise AssertionError(f"duplicate car placement at iteration {it}")
     gaps = [row.gap for row in trace]
-    histogram = tuple(sorted(Counter(gaps).items()))
     slots = config.iterations * config.slots_per_iteration
     return ScenarioResult(
         config=config,
         trace=tuple(trace),
         mean_gap=(sum(gaps) / len(gaps)) if gaps else 0.0,
-        gap_histogram=histogram,
         delivery_ratio=delivered_total / max(1, sensors.reports_generated),
         collision_rate=collisions_total / max(1, slots),
         created=world.created,

@@ -49,6 +49,7 @@ from .harness import (
     correlation_report,
 )
 from .lattice import (
+    ALLOCATORS,
     BOUNDARIES,
     NEIGHBORHOODS,
     ChannelLattice,
@@ -60,7 +61,6 @@ from .lattice import (
     write_lattice,
 )
 
-ALLOCATORS = ("son", "centralized")
 GENERATORS = ("son", "iid")
 
 
@@ -99,7 +99,9 @@ def _dims(value) -> str:
     try:
         width, height = (int(part) for part in value.lower().split("x"))
     except (AttributeError, ValueError):
-        raise ValueError("a WxH string such as 8x8") from None
+        width = height = 0
+    if width < 1 or height < 1:
+        raise ValueError("a WxH string of positive sides such as 8x8")
     return f"{width}x{height}"
 
 
@@ -209,7 +211,7 @@ def _with_shared(*params: Param) -> tuple[Param, ...]:
     return (*own.values(), *shared)
 
 
-_MAX_SWEEPS = Param("max_sweeps", _integer, 10_000)
+_MAX_SWEEPS = Param("max_sweeps", _integer, 10_000, minimum=0)
 _NEIGHBORHOOD = Param("neighborhood", _text, "moore", choices=tuple(NEIGHBORHOODS))
 _SAMPLING = (
     Param("mode", _text, "exhaustive", choices=SAMPLING_MODES),
@@ -234,7 +236,7 @@ COMMANDS = {
         Param("dims", _dims, "8x8", "lattice size WxH"),
         *_ALLOCATION,
         Param("instances", _integer, 20, minimum=0),
-        Param("budget", _integer, 8, "deepest repair distance searched"),
+        Param("budget", _integer, 8, "deepest repair distance searched", minimum=0),
         _MAX_SWEEPS,
         Param("cell_sample", _integer, None,
               "perturb only this many cells per instance", minimum=0),
@@ -259,8 +261,6 @@ COMMANDS = {
     "abm": ("intersection traffic over a shared channel", _with_shared(
         Param("iterations", _integer, 2000),
         Param("mac", _text, "aloha", choices=MACS),
-        Param("ideal_channel", _switch, False, "shorthand for --mac ideal",
-              config=False),
         Param("arrival_probability", _number, 0.5),
         Param("road_length", _integer, 20),
         Param("green_period", _integer, 20),
@@ -290,7 +290,8 @@ COMMANDS = {
         Param("dims", _dims, "10x10", "lattice size WxH"),
         *_ALLOCATION,
         _MAX_SWEEPS,
-        Param("out", _text, None, "output file", config=False, required=True),
+        Param("out", _text, None, "output file, or - for stdout", config=False,
+              required=True),
     )),
 }
 
@@ -427,7 +428,7 @@ def cmd_cfc(args) -> int:
 
     summary = [
         "# summary:",
-        f"# node_count: {profile.node_count}",
+        f"# node_count: {g.node_count}",
         f"# diameter: {profile.diameter}",
         f"# degenerate: {profile.degenerate}",
         f"# complexity: {profile.complexity!r}",
@@ -481,14 +482,14 @@ def cmd_son_stability(args) -> int:
     hist = " ".join(f"{d}:{n}" for d, n in study.histogram)
     summary = [
         "# summary:",
-        f"# allocator: {study.allocator}",
+        f"# allocator: {params['allocator']}",
         f"# perturbations: {len(study.rows)}",
         f"# histogram: {hist}",
         f"# exceeded_count: {study.exceeded_count}",
         f"# mean_distance: {study.mean_distance!r}",
         f"# stderr: {study.stderr!r}",
         f"# max_distance: {study.max_distance}",
-        f"# budget: {study.budget}",
+        f"# budget: {params['budget']}",
     ]
     _write_csv(args, params, seed_repr, columns, rows, summary)
     return 0
@@ -572,7 +573,7 @@ def cmd_excess_entropy(args) -> int:
         f"# entropy_rate: {profile.entropy_rate!r}",
         f"# excess_entropy: {profile.excess!r}",
         f"# converged: {profile.converged}",
-        f"# sample_count: {profile.sample_count}",
+        f"# sample_count: {len(samples)}",
         f"# pooled_cells: {pooled}",
     ]
     _write_csv(
@@ -588,8 +589,6 @@ def cmd_excess_entropy(args) -> int:
 
 def cmd_abm(args) -> int:
     params = _resolve(args)
-    if args.ideal_channel:
-        params["mac"] = "ideal"
     # a seed list, from --seeds or the config, wins over the single seed
     seed = params.pop("seed")
     if params["seeds"] is None:
@@ -692,7 +691,8 @@ def cmd_son_run(args) -> int:
         f"sweeps: {sweeps}",
         f"conflicts: {conflicts}",
     ]
-    write_lattice(lat, args.out, header)
+    with _output(args.out) as fh:
+        write_lattice(lat, fh, header)
     if not converged:
         print(
             f"warning: allocation still has {conflicts} conflicts "

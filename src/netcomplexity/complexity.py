@@ -160,6 +160,8 @@ def mean_information(
     """
     policy = policy or SamplingPolicy()
     n = g.node_count
+    if r < 1:
+        raise ValueError(f"scale r must be >= 1, got {r}")
     if not (1 + r <= size <= n):
         raise ValueError(f"size {size} outside {1 + r}..{n} for scale r={r}")
     adj = _dense_adjacency(g) if _adj is None else _adj
@@ -193,12 +195,9 @@ class ScaleCell:
 class ComplexityProfile:
     """Full evaluation record of the functional-complexity metric."""
 
-    node_count: int
     diameter: int
     cells: tuple[ScaleCell, ...]
-    whole_graph_information: tuple[tuple[int, float], ...]
     complexity: float
-    policy: SamplingPolicy
     degenerate: bool
 
     @property
@@ -226,13 +225,7 @@ def functional_complexity(
     r_max = diameter(g)
     if r_max < 2:
         return ComplexityProfile(
-            node_count=g.node_count,
-            diameter=r_max,
-            cells=(),
-            whole_graph_information=(),
-            complexity=0.0,
-            policy=policy,
-            degenerate=True,
+            diameter=r_max, cells=(), complexity=0.0, degenerate=True,
         )
     adj = _dense_adjacency(g)
     n = g.node_count
@@ -249,11 +242,9 @@ def functional_complexity(
             for r in range(1, top + 1):
                 means[r, size] = mean_information(g, size, r, policy, _adj=adj)
     cells: list[ScaleCell] = []
-    whole: list[tuple[int, float]] = []
     total = 0.0
     for r in range(1, r_max):
         whole_info = means[r, n].value  # the single full-size subset
-        whole.append((r, whole_info))
         for size in range(1 + r, n + 1):
             mi = means[r, size]
             slope = (r + 1 - size) / (r + 1 - n)
@@ -273,11 +264,8 @@ def functional_complexity(
                 )
             )
     return ComplexityProfile(
-        node_count=n,
         diameter=r_max,
         cells=tuple(cells),
-        whole_graph_information=tuple(whole),
         complexity=total / (r_max - 1),
-        policy=policy,
         degenerate=False,
     )

@@ -143,9 +143,6 @@ class EntropyProfile:
     conditional_entropies: tuple[float, ...]
     entropy_rate: float
     excess: float
-    max_context: int
-    sample_count: int
-    template: tuple[tuple[int, int], ...]
     converged: bool
 
 
@@ -175,15 +172,8 @@ def estimate_excess_entropy(
     tolerance: float = 0.01,
 ) -> EntropyProfile:
     """One-stop pooled estimate over a set of sample lattices."""
-    template = template or DEFAULT_TEMPLATE
     h = conditional_entropy_profile(samples, max_context, template)
     excess, rate, converged = excess_entropy(h, tolerance)
     return EntropyProfile(
-        conditional_entropies=h,
-        entropy_rate=rate,
-        excess=excess,
-        max_context=max_context,
-        sample_count=len(samples),
-        template=template.offsets,
-        converged=converged,
+        conditional_entropies=h, entropy_rate=rate, excess=excess, converged=converged,
     )

@@ -158,8 +158,6 @@ class MetricCorrelation:
 
 @dataclass(frozen=True)
 class CorrelationReport:
-    spec: EnsembleSpec
-    policy: SamplingPolicy
     rows: tuple[ReportRow, ...]
     correlations: tuple[MetricCorrelation, ...]
     flags: tuple[str, ...]
@@ -195,7 +193,6 @@ def correlation_report(
     treated as an error.  Rows are assembled in graph order whatever the
     mapper's parallelism.
     """
-    policy = policy or SamplingPolicy()
     graphs = generate_ensemble(spec)
     if len(graphs) < 2:
         raise ValueError(f"need >= 2 graphs to correlate, got {len(graphs)}")
@@ -214,11 +211,7 @@ def correlation_report(
         if abs(rho) >= 0.5:
             flags.append(f"|rho(complexity, {field})| = {abs(rho):.3f} >= 0.5")
     return CorrelationReport(
-        spec=spec,
-        policy=policy,
-        rows=rows,
-        correlations=tuple(correlations),
-        flags=tuple(flags),
+        rows=rows, correlations=tuple(correlations), flags=tuple(flags),
     )
 
 

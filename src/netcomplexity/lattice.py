@@ -11,6 +11,7 @@ one cell is forced to a given channel.
 from __future__ import annotations
 
 import random
+from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from typing import Callable, Iterable
@@ -24,6 +25,7 @@ NEIGHBORHOODS = {
     "von-neumann": ((-1, 0), (1, 0), (0, -1), (0, 1)),
 }
 BOUNDARIES = ("toroidal", "bounded")
+ALLOCATORS = ("son", "centralized")
 
 
 @dataclass(frozen=True)
@@ -227,11 +229,6 @@ class StabilityRecord:
     forced_channel: int
     distance: int | None
     changed_cells: tuple[tuple[tuple[int, int], int], ...]
-    budget: int
-
-    @property
-    def exceeded(self) -> bool:
-        return self.distance is None
 
 
 def repair_distance(
@@ -319,14 +316,12 @@ def repair_distance(
                 forced_channel=forced_channel,
                 distance=len(changed),
                 changed_cells=witness,
-                budget=budget,
             )
     return StabilityRecord(
         cell=cell,
         forced_channel=forced_channel,
         distance=None,
         changed_cells=(),
-        budget=budget,
     )
 
 
@@ -346,60 +341,28 @@ class StabilityRow:
 class StabilityStudy:
     """Repair-distance distribution for one allocator."""
 
-    allocator: str
     rows: tuple[StabilityRow, ...]
     histogram: tuple[tuple[int, int], ...]
     exceeded_count: int
     mean_distance: float
     stderr: float
     max_distance: int | None
-    budget: int
 
 
-def _summarize(allocator: str, rows: list[StabilityRow], budget: int) -> StabilityStudy:
+def _summarize(rows: list[StabilityRow]) -> StabilityStudy:
     finite = [r.distance for r in rows if r.distance is not None]
     hist: dict[int, int] = {}
     for d in finite:
         hist[d] = hist.get(d, 0) + 1
     mean, stderr = mean_and_stderr(finite)
     return StabilityStudy(
-        allocator=allocator,
         rows=tuple(rows),
         histogram=tuple(sorted(hist.items())),
         exceeded_count=sum(1 for r in rows if r.distance is None),
         mean_distance=mean,
         stderr=stderr,
         max_distance=max(finite) if finite else None,
-        budget=budget,
     )
-
-
-def _instance_lattice(
-    allocator: str,
-    width: int,
-    height: int,
-    channel_count: int,
-    neighborhood: str,
-    seed: int,
-    instance: int,
-    max_sweeps: int,
-    boundary: str,
-) -> ChannelLattice:
-    if allocator == "centralized":
-        return centralized_allocate(width, height, channel_count, neighborhood, boundary)
-    if allocator == "son":
-        inst_seed = sample_stream(seed, "instance", instance).getrandbits(48)
-        lat, report = son_allocate(
-            width, height, channel_count, neighborhood,
-            seed=inst_seed, max_sweeps=max_sweeps, boundary=boundary,
-        )
-        if not report.converged:
-            raise ValueError(
-                f"son allocation did not converge for instance {instance} "
-                f"({report.conflicts} conflicts after {report.sweeps} sweeps)"
-            )
-        return lat
-    raise ValueError(f"unknown allocator {allocator!r}")
 
 
 def stability_instance_rows(
@@ -418,13 +381,23 @@ def stability_instance_rows(
 ) -> list[StabilityRow]:
     """All (cell, forced channel) repair distances for one instance.
 
+    allocator is one of ALLOCATORS, as stability_experiment checks.
     cell_sample / channel_sample restrict the scan to a seeded uniform
     subset, for lattices too large to perturb exhaustively.
     """
-    lat = _instance_lattice(
-        allocator, width, height, channel_count, neighborhood,
-        seed, instance, max_sweeps, boundary,
-    )
+    if allocator == "centralized":
+        lat = centralized_allocate(width, height, channel_count, neighborhood, boundary)
+    else:
+        inst_seed = sample_stream(seed, "instance", instance).getrandbits(48)
+        lat, report = son_allocate(
+            width, height, channel_count, neighborhood,
+            seed=inst_seed, max_sweeps=max_sweeps, boundary=boundary,
+        )
+        if not report.converged:
+            raise ValueError(
+                f"son allocation did not converge for instance {instance} "
+                f"({report.conflicts} conflicts after {report.sweeps} sweeps)"
+            )
     cells = [(r, c) for r in range(height) for c in range(width)]
     channels = list(range(channel_count))
     if cell_sample is not None and cell_sample < len(cells):
@@ -468,6 +441,8 @@ def stability_experiment(
     mapper allows a parallel map; per-instance work is independent and
     results are assembled in instance order either way.
     """
+    if allocator not in ALLOCATORS:
+        raise ValueError(f"unknown allocator {allocator!r}")
     if instance_count < 1:
         raise ValueError("instance_count must be >= 1")
     instance_rows = partial(
@@ -480,7 +455,7 @@ def stability_experiment(
     rows: list[StabilityRow] = []
     for chunk in mapper(instance_rows, range(instance_count)):
         rows.extend(chunk)
-    return _summarize(allocator, rows, budget)
+    return _summarize(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -539,9 +514,11 @@ def read_lattice(
         raise InputFormatError(f"{path}: {exc}") from None
 
 
-def write_lattice(lat: ChannelLattice, path: str, header_lines: list[str] | None = None) -> None:
-    """Write the lattice file format; header_lines become leading comments."""
-    with open(path, "w", encoding="utf-8") as fh:
+def write_lattice(lat: ChannelLattice, path, header_lines: list[str] | None = None) -> None:
+    """Write the lattice file format to path, a file name or an open text
+    file; header_lines become leading comments."""
+    opened = nullcontext(path) if hasattr(path, "write") else open(path, "w", encoding="utf-8")
+    with opened as fh:
         for line in header_lines or []:
             fh.write(f"# {line}\n")
         fh.write(f"{lat.width} {lat.height} {lat.channel_count}\n")

@@ -136,6 +136,15 @@ BAD_INPUT = (
      "mmax must be >= 1"),
     (("excess-entropy", "--generate", "iid", "--dims", "8x8", "--radius", 0), None,
      "radius must be >= 1"),
+    (("son-stability", "--max-sweeps", -1), None, "max_sweeps must be >= 0"),
+    (("son-stability", "--allocator", "centralized", "--max-sweeps", -1), None,
+     "max_sweeps must be >= 0, got -1"),
+    (("son-run", "--out", "x.lat", "--allocator", "centralized", "--max-sweeps", -1),
+     None, "max_sweeps must be >= 0"),
+    (("son-stability", "--budget", -1), None, "budget must be >= 0"),
+    (("son-stability", "--dims", "0x3"), None, "dims must be a WxH string of positive"),
+    (("excess-entropy", "--generate", "iid", "--dims", "2x-2"), None,
+     "dims must be a WxH string of positive"),
 )
 
 
@@ -379,6 +388,15 @@ def test_son_run_requires_out(capsys):
     capsys.readouterr()
 
 
+def test_son_run_dash_writes_stdout(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    flags = ("son-run", "--dims", "6x6", "--channels", 5, "--seed", 2)
+    assert run_cli(*flags, "--out", "son.lat") == 0
+    assert run_cli(*flags, "--out", "-") == 0
+    assert capsys.readouterr().out.encode() == (tmp_path / "son.lat").read_bytes()
+    assert not (tmp_path / "-").exists()
+
+
 # ---------------------------------------------------------------------------
 # abm
 
@@ -397,7 +415,7 @@ def test_abm_zero_iterations_header_only(tmp_path):
 def test_abm_ideal_channel_gap_all_zero(tmp_path):
     out = tmp_path / "out.csv"
     assert run_cli(
-        "abm", "--ideal-channel", "--iterations", 120,
+        "abm", "--mac", "ideal", "--iterations", 120,
         "--seeds", "1,2", "--out", out,
     ) == 0
     _, rows, _ = parse_output(out)

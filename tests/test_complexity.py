@@ -134,6 +134,12 @@ def test_mean_information_rejects_size_below_scale():
         mean_information(path(5), 2, 2)
 
 
+@pytest.mark.parametrize("r", [0, -1])
+def test_mean_information_rejects_scale_below_one(r):
+    with pytest.raises(ValueError, match=rf"scale r must be >= 1, got {r}$"):
+        mean_information(path(3), 2, r)
+
+
 # ---------------------------------------------------------------------------
 # the metric itself
 
@@ -173,9 +179,9 @@ def test_cells_cover_expected_sizes():
 
 
 def test_full_size_deviation_exactly_zero():
-    prof = functional_complexity(path(5))
-    for cell in prof.cells:
-        if cell.size == prof.node_count:
+    g = path(5)
+    for cell in functional_complexity(g).cells:
+        if cell.size == g.node_count:
             assert cell.deviation == 0.0
 
 
@@ -310,8 +316,6 @@ def test_profile_cells_equal_single_cell_evaluation(directed):
                 subset_count=c.subset_count,
                 sampled=c.sampled,
             )
-        whole = [c.mean_information for c in prof.cells if c.size == g.node_count]
-        assert [w for _, w in prof.whole_graph_information] == whole
     assert kinds == {False, True}
 
 

@@ -206,11 +206,11 @@ def test_report_independent_of_mapper():
 
 def test_report_respects_policy():
     spec = er_spec(graph_count=3)
-    sampled = correlation_report(
-        spec, policy=SamplingPolicy(mode="uniform-sample", sample_count=200)
-    )
+    policy = SamplingPolicy(mode="uniform-sample", sample_count=200)
+    sampled = correlation_report(spec, policy=policy)
     exact = correlation_report(spec)
-    assert sampled.policy.mode == "uniform-sample"
+    for row, g in zip(sampled.rows, generate_ensemble(spec), strict=True):
+        assert row.complexity == functional_complexity(g, policy=policy).complexity
     assert [r.graph_id for r in sampled.rows] == [r.graph_id for r in exact.rows]
     # classical metrics are policy-independent
     for a, b in zip(sampled.rows, exact.rows):

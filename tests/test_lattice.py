@@ -197,7 +197,6 @@ def test_repair_budget_exceeded_reported():
     lat = centralized_allocate(4, 4, 2, "von-neumann")
     wrong = 1 - int(lat.cells[0, 0])
     rec = repair_distance(lat, (0, 0), wrong, budget=8)
-    assert rec.exceeded
     assert rec.distance is None
     # a censored record carries no witness, so the clamp stays unrepaired
     assert oracle_witness_conflicts(lat, rec)
@@ -218,7 +217,7 @@ def test_repair_witness_respects_clamp():
     assert report.converged
     for ch in range(5):
         rec = repair_distance(lat, (2, 3), ch)
-        assert not rec.exceeded
+        assert rec.distance is not None
         assert all(cell != (2, 3) for cell, _ in rec.changed_cells)
         assert oracle_witness_conflicts(lat, rec) == []
 
@@ -254,7 +253,7 @@ def test_repair_witnesses_pinned_on_full_size_lattices():
                 for c in range(8):
                     for ch in range(channels):
                         rec = repair_distance(lat, (r, c), ch, budget=8)
-                        censored += rec.exceeded
+                        censored += rec.distance is None
                         digest.update(repr((rec.distance, rec.changed_cells)).encode())
             assert censored > 0, (neighborhood, boundary)
     assert digest.hexdigest() == (
@@ -285,8 +284,12 @@ def test_stability_son_deterministic():
 
 
 def test_stability_rejects_unknown_allocator():
-    with pytest.raises(ValueError, match="unknown allocator"):
-        stability_experiment("bogus", 4, 4, 5, instance_count=1, seed=0)
+    def no_tasks(fn, items):
+        raise AssertionError("a task was mapped")
+
+    with pytest.raises(ValueError, match="unknown allocator 'bogus'"):
+        stability_experiment("bogus", 4, 4, 5, instance_count=1, seed=0,
+                             mapper=no_tasks)
 
 
 def test_stability_sampling_reduces_rows():
