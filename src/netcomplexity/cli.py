@@ -259,16 +259,17 @@ COMMANDS = {
               "convergence tolerance on the entropy-rate tail", minimum=0),
     )),
     "abm": ("intersection traffic over a shared channel", _with_shared(
-        Param("iterations", _integer, 2000),
+        Param("iterations", _integer, 2000, minimum=0),
         Param("mac", _text, "aloha", choices=MACS),
         Param("arrival_probability", _number, 0.5),
-        Param("road_length", _integer, 20),
-        Param("green_period", _integer, 20),
+        Param("road_length", _integer, 20, minimum=1),
+        Param("green_period", _integer, 20, minimum=1),
         Param("light_policy", _text, "fixed", choices=LIGHT_POLICIES),
-        Param("min_green", _integer, 5),
+        Param("min_green", _integer, 5, minimum=1),
         Param("persistence", _number, 1.0, "per-slot transmission probability"),
-        Param("message_duration", _integer, 1, "slots one report occupies"),
-        Param("slots_per_iteration", _integer, 1),
+        Param("message_duration", _integer, 1, "slots one report occupies",
+              minimum=1),
+        Param("slots_per_iteration", _integer, 1, minimum=1),
         Param("seeds", _seeds, None,
               "seed list: '1..30', '3,7,9', or one integer"),
     )),
@@ -453,10 +454,6 @@ def cmd_son_stability(args) -> int:
     seed_repr = str(params["seed"])
 
     instances = params["instances"]
-    if instances == 0:
-        _write_csv(args, params, seed_repr, columns, [])
-        return 0
-
     width, height = _width_height(params["dims"])
     with _mapper(args.workers, instances) as mapper:
         study = stability_experiment(

@@ -241,9 +241,15 @@ def repair_distance(
 
     Preconditions: lat is conflict-free and forced_channel is a valid channel.
     Iterative deepening over the repair size; within each depth, DFS branches
-    on the endpoints of a deterministic pivot conflict (every conflicting
+    on the free endpoint of a deterministic pivot conflict (every conflicting
     pair must have an endpoint changed, and the clamped cell never changes),
     so the first depth that admits a repair is the exact minimum.
+
+    A cell is free when it is neither clamped nor already changed.  The
+    admissible bound is a vertex cover of the current conflicts over free
+    cells only: a node with a conflict that has no free endpoint is pruned
+    at once, and each free endpoint of a conflict counts as one change
+    still to come.
     """
     r0, c0 = cell
     if not (0 <= r0 < lat.height and 0 <= c0 < lat.width):
@@ -266,44 +272,41 @@ def repair_distance(
     changed: dict[int, int] = {}
 
     def dfs(depth_left: int) -> bool:
-        # the start is conflict-free, so every conflict touches a cell whose
-        # channel differs from it: the clamped one or a changed one
-        conflicts = {
-            (i, j) if i < j else (j, i)
-            for i in (clamped, *changed)
-            for j in nbrs[i]
-            if grid[j] == grid[i]
-        }
-        if not conflicts:
+        # the start is conflict-free, so every conflict touches a fixed cell,
+        # one whose channel differs from the start: the clamped one or a
+        # changed one.  A fixed cell never changes again, so a conflict of two
+        # fixed cells cannot be repaired below this node, and any other
+        # conflict forces its one free endpoint to change.
+        free_end: dict[tuple[int, int], int] = {}
+        for i in (clamped, *changed):
+            own = grid[i]
+            for j in nbrs[i]:
+                if grid[j] == own:
+                    if j == clamped or j in changed:
+                        return False
+                    free_end[(i, j) if i < j else (j, i)] = j
+        if not free_end:
             return True
-        if depth_left == 0:
+        # the forced cells are the minimum vertex cover of the conflicts
+        # over free cells: an admissible bound on the changes still to come
+        if len(set(free_end.values())) > depth_left:
             return False
-        pairs = sorted(conflicts)
-        # lower bound: forced endpoints of clamped conflicts, plus disjoint
-        # free pairs first-fit (a clamped pair's endpoint is already used)
-        used = {a if b == clamped else b for a, b in pairs if clamped in (a, b)}
-        bound = len(used)
-        for a, b in pairs:
-            if a not in used and b not in used:
-                bound += 1
-                used.add(a)
-                used.add(b)
-        if bound > depth_left:
-            return False
-        # prefer a conflict touching the clamped cell: its repair endpoint is forced
-        pivot = next((pair for pair in pairs if clamped in pair), pairs[0])
-        for endpoint in pivot:
-            if endpoint == clamped or endpoint in changed:
+        # pivot on the first conflict in pair order, preferring one at the
+        # clamped cell, and branch on its free endpoint
+        pairs = sorted(free_end)
+        endpoint = free_end[next((pair for pair in pairs if clamped in pair), pairs[0])]
+        # a channel held by a fixed neighbor (the old one among them) would
+        # be a conflict of two fixed cells
+        held = {grid[j] for j in nbrs[endpoint] if j == clamped or j in changed}
+        old = grid[endpoint]
+        for value in range(f_count):
+            if value in held:
                 continue
-            old = grid[endpoint]
-            for value in range(f_count):
-                if value == old:
-                    continue
-                grid[endpoint] = changed[endpoint] = value
-                if dfs(depth_left - 1):
-                    return True
-            del changed[endpoint]
-            grid[endpoint] = old
+            grid[endpoint] = changed[endpoint] = value
+            if dfs(depth_left - 1):
+                return True
+        changed.pop(endpoint, None)
+        grid[endpoint] = old
         return False
 
     for depth in range(budget + 1):
@@ -443,8 +446,8 @@ def stability_experiment(
     """
     if allocator not in ALLOCATORS:
         raise ValueError(f"unknown allocator {allocator!r}")
-    if instance_count < 1:
-        raise ValueError("instance_count must be >= 1")
+    if instance_count < 0:
+        raise ValueError("instance_count must be >= 0")
     instance_rows = partial(
         stability_instance_rows,
         allocator=allocator, width=width, height=height,

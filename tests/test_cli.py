@@ -145,6 +145,13 @@ BAD_INPUT = (
     (("son-stability", "--dims", "0x3"), None, "dims must be a WxH string of positive"),
     (("excess-entropy", "--generate", "iid", "--dims", "2x-2"), None,
      "dims must be a WxH string of positive"),
+    (("abm", "--iterations", -1), None, "iterations must be >= 0, got -1"),
+    (("abm", "--road-length", 0), None, "road_length must be >= 1, got 0"),
+    (("abm", "--green-period", 0), None, "green_period must be >= 1, got 0"),
+    (("abm", "--min-green", 0), None, "min_green must be >= 1, got 0"),
+    (("abm", "--message-duration", 0), None, "message_duration must be >= 1, got 0"),
+    (("abm", "--slots-per-iteration", 0), None,
+     "slots_per_iteration must be >= 1, got 0"),
 )
 
 
@@ -268,15 +275,19 @@ def test_cfc_flag_overrides_config(tmp_path):
 # son-stability
 
 
-def test_stability_zero_instances_header_only(tmp_path):
-    out = tmp_path / "out.csv"
-    assert run_cli("son-stability", "--instances", 0, "--out", out) == 0
-    header, rows, summary = parse_output(out)
-    assert len(header) == 4
-    assert rows == [
-        ["instance", "row", "col", "forced_channel", "distance", "exceeded"]
-    ]
-    assert summary == []
+def test_stability_empty_runs_print_the_same_summary_keys(tmp_path):
+    summaries = []
+    for flags in (("--instances", 0), ("--instances", 2, "--cell-sample", 0)):
+        out = tmp_path / "out.csv"
+        assert run_cli("son-stability", *flags, "--out", out) == 0
+        header, rows, summary = parse_output(out)
+        assert len(header) == 4
+        assert rows == [
+            ["instance", "row", "col", "forced_channel", "distance", "exceeded"]
+        ]
+        summaries.append([line.partition(":")[0] for line in summary])
+    assert summaries[0] == summaries[1]
+    assert "# perturbations" in summaries[0]
 
 
 def test_stability_centralized_matches_library(tmp_path):

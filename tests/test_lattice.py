@@ -239,26 +239,82 @@ def test_repair_matches_exhaustive_oracle_three_color():
         assert got.distance == want
 
 
-def test_repair_witnesses_pinned_on_full_size_lattices():
-    # several repairs can share the minimum; the DFS branch order picks the
-    # witness, so every (distance, witness) of a full scan is pinned
-    digest = hashlib.sha256()
+@pytest.mark.parametrize("width, height", [(3, 3), (4, 3)])
+@pytest.mark.parametrize("boundary", ["bounded", "toroidal"])
+@pytest.mark.parametrize("neighborhood", ["von-neumann", "moore"])
+def test_repair_matches_exhaustive_oracle_small_lattices(width, height, neighborhood, boundary):
+    # a 3-row torus makes every row adjacent to the other two under Moore,
+    # so a proper coloring needs three channels per column class
+    channels = 4 if neighborhood == "von-neumann" else 5
+    if (neighborhood, boundary) == ("moore", "toroidal"):
+        channels = 9 if width == 3 else 6
+    rng = random.Random(f"{width}x{height} {neighborhood} {boundary}")
+    lattices = [
+        son_allocate(width, height, channels, neighborhood, seed=seed,
+                     boundary=boundary)
+        for seed in range(3)
+    ]
+    assert all(report.converged for _, report in lattices)
+    lattices = [lat for lat, _ in lattices]
+    if boundary == "bounded":  # the periodic pattern cannot close on an odd torus
+        lattices.append(centralized_allocate(width, height, channels, neighborhood, boundary))
+    perturbations = [
+        ((r, c), ch) for r in range(height) for c in range(width) for ch in range(channels)
+    ]
+    for lat in lattices:
+        for cell, ch in perturbations:
+            budget = rng.randint(0, 4)
+            rec = repair_distance(lat, cell, ch, budget=budget)
+            want = oracle_repair_distance(
+                lat.cells.tolist(), channels, neighborhood, boundary, cell, ch, budget
+            )
+            assert rec.distance == want, (lat.cells.tolist(), cell, ch, budget)
+            if rec.distance is not None:
+                assert oracle_witness_conflicts(lat, rec) == []
+
+
+@pytest.fixture(scope="module")
+def full_scans():
+    """Every (distance, witness) of a budget-8 scan of four 8x8 lattices,
+    keyed by (neighborhood, boundary)."""
+    scans = {}
     for neighborhood, channels in (("moore", 5), ("von-neumann", 3)):
         for boundary in ("toroidal", "bounded"):
             lat, report = son_allocate(8, 8, channels, neighborhood, seed=0,
                                        boundary=boundary)
             assert report.converged
-            censored = 0
-            for r in range(8):
-                for c in range(8):
-                    for ch in range(channels):
-                        rec = repair_distance(lat, (r, c), ch, budget=8)
-                        censored += rec.distance is None
-                        digest.update(repr((rec.distance, rec.changed_cells)).encode())
-            assert censored > 0, (neighborhood, boundary)
+            scans[neighborhood, boundary] = [
+                repair_distance(lat, (r, c), ch, budget=8)
+                for r in range(8) for c in range(8) for ch in range(channels)
+            ]
+    return scans
+
+
+def test_repair_witnesses_pinned_on_full_size_lattices(full_scans):
+    # several repairs can share the minimum; the DFS branch order picks the
+    # witness, so every (distance, witness) of a full scan is pinned
+    digest = hashlib.sha256()
+    for records in full_scans.values():
+        for rec in records:
+            digest.update(repr((rec.distance, rec.changed_cells)).encode())
     assert digest.hexdigest() == (
         "0f1580e1062803263af3808c7a1dfa2520f8d6946bca18e0387d4b0d0699296e"
     )
+
+
+def test_repair_censored_counts_pinned_on_full_size_lattices(full_scans):
+    # a bound that prunes a real repair shows up here as a count, not only as
+    # a digest mismatch
+    censored = {
+        key: sum(rec.distance is None for rec in records)
+        for key, records in full_scans.items()
+    }
+    assert censored == {
+        ("moore", "toroidal"): 32,
+        ("moore", "bounded"): 8,
+        ("von-neumann", "toroidal"): 47,
+        ("von-neumann", "bounded"): 6,
+    }
 
 
 # ---------------------------------------------------------------------------
