@@ -30,9 +30,7 @@ from .complexity import (
     mean_information,
 )
 from .entropy import (
-    DEFAULT_TEMPLATE,
     EntropyProfile,
-    NeighborhoodTemplate,
     conditional_entropy_profile,
     empirical_entropy,
     estimate_excess_entropy,
@@ -91,9 +89,7 @@ __all__ = [
     "functional_complexity",
     "mean_information",
     # entropy
-    "DEFAULT_TEMPLATE",
     "EntropyProfile",
-    "NeighborhoodTemplate",
     "conditional_entropy_profile",
     "empirical_entropy",
     "estimate_excess_entropy",

@@ -32,7 +32,7 @@ import numpy as np
 from . import __version__
 from .abm import LIGHT_POLICIES, MACS, PerceptionRecord, ScenarioConfig, run_scenario
 from .complexity import ScaleCell, functional_complexity
-from .entropy import NeighborhoodTemplate, estimate_excess_entropy
+from .entropy import estimate_excess_entropy
 from .graph import (
     SAMPLING_MODES,
     InputFormatError,
@@ -249,12 +249,11 @@ COMMANDS = {
               "generate sample lattices instead of reading files",
               choices=GENERATORS),
         Param("dims", _dims, "32x32", "generated lattice size WxH"),
-        Param("channels", _integer, 4, minimum=1),
+        Param("channels", _integer, 6, minimum=1),
         Param("count", _integer, 10, "number of generated lattices", minimum=1),
         _NEIGHBORHOOD,
         _MAX_SWEEPS,
         Param("mmax", _integer, 4, "deepest context size", minimum=1),
-        Param("radius", _integer, 2, "context template radius", minimum=1),
         Param("tolerance", _number, 0.01,
               "convergence tolerance on the entropy-rate tail", minimum=0),
     )),
@@ -555,10 +554,8 @@ def cmd_excess_entropy(args) -> int:
     else:
         raise ValueError("no lattice source: give files or --generate")
 
-    template = NeighborhoodTemplate.chebyshev(params["radius"])
     profile = estimate_excess_entropy(
-        samples, max_context=params["mmax"], template=template,
-        tolerance=params["tolerance"],
+        samples, max_context=params["mmax"], tolerance=params["tolerance"],
     )
     pooled = sum(s.width * s.height for s in samples)
 

@@ -2,11 +2,13 @@
 
 Conditional entropies h(M) = H(X | M context cells) are estimated with the
 plug-in estimator over counts pooled across every cell of every sample
-lattice (toroidal wrap, so every cell has a full context).  The context is
-the first M offsets of a neighborhood template: offsets ordered by
-Chebyshev ring, then clockwise angle starting from north.  The excess is
-the accumulated gap between h(M) and the entropy-rate estimate h_hat
-(the deepest h(M)).
+lattice (toroidal wrap, so every cell has a full context).  The context
+grows one cell at a time along a fixed spiral: Chebyshev rings outward,
+each ring clockwise from north, so the depth-M context is a prefix of every
+deeper one.  A depth fits a lattice only if its M offsets, wrapped on the
+torus, are M distinct cells other than the cell itself; a deeper context
+would count some cell twice.  The excess is the accumulated gap between
+h(M) and the entropy-rate estimate h_hat (the deepest h(M)).
 """
 
 from __future__ import annotations
@@ -20,45 +22,23 @@ import numpy as np
 from .lattice import ChannelLattice
 
 
-@dataclass(frozen=True)
-class NeighborhoodTemplate:
-    """Ordered context offsets (row delta, col delta); (0, 0) excluded."""
-
-    offsets: tuple[tuple[int, int], ...]
-
-    def __post_init__(self) -> None:
-        if not self.offsets:
-            raise ValueError("template needs at least one offset")
-        if len(set(self.offsets)) != len(self.offsets):
-            raise ValueError("template offsets must be distinct")
-        if (0, 0) in self.offsets:
-            raise ValueError("template must not include the cell itself")
-
-    def __len__(self) -> int:
-        return len(self.offsets)
-
-    @classmethod
-    def chebyshev(cls, radius: int) -> "NeighborhoodTemplate":
-        """Rings of increasing Chebyshev distance, each ring clockwise from
-        north (up, then up-right, right, ...)."""
-        if radius < 1:
-            raise ValueError("radius must be >= 1")
-        offs = []
-        for dr in range(-radius, radius + 1):
-            for dc in range(-radius, radius + 1):
-                if (dr, dc) != (0, 0):
-                    offs.append((dr, dc))
-
-        def key(o):
-            dr, dc = o
-            ring = max(abs(dr), abs(dc))
-            angle = math.atan2(dc, -dr) % (2 * math.pi)
-            return (ring, angle)
-
-        return cls(offsets=tuple(sorted(offs, key=key)))
-
-
-DEFAULT_TEMPLATE = NeighborhoodTemplate.chebyshev(2)
+def context_offsets(depth: int) -> tuple[tuple[int, int], ...]:
+    """The first depth context offsets (row delta, col delta) of the spiral:
+    Chebyshev rings outward, each ring clockwise from north (up, then
+    up-right, right, ...)."""
+    rings = 1
+    while (2 * rings + 1) ** 2 - 1 < depth:
+        rings += 1
+    offsets = [
+        (dr, dc)
+        for dr in range(-rings, rings + 1)
+        for dc in range(-rings, rings + 1)
+        if (dr, dc) != (0, 0)
+    ]
+    offsets.sort(key=lambda o: (
+        max(abs(o[0]), abs(o[1])), math.atan2(o[1], -o[0]) % (2 * math.pi),
+    ))
+    return tuple(offsets[:depth])
 
 
 def empirical_entropy(counts: Mapping) -> float:
@@ -85,23 +65,17 @@ def _entropy_of_count_vector(counts: np.ndarray) -> float:
 def conditional_entropy_profile(
     samples: Sequence[ChannelLattice],
     max_context: int = 4,
-    template: NeighborhoodTemplate | None = None,
 ) -> tuple[float, ...]:
     """h(M) for M = 1..max_context, pooled over all cells of all samples.
 
     Counts always wrap toroidally, so every cell contributes a full context
     regardless of the lattice's own boundary flag.  Conditioning on a prefix
-    of a fixed template makes h exactly non-increasing in M.
+    of the fixed spiral makes h exactly non-increasing in M.
     """
-    template = template or DEFAULT_TEMPLATE
     if not samples:
         raise ValueError("need at least one sample lattice")
     if max_context < 1:
         raise ValueError("max_context must be >= 1")
-    if max_context > len(template):
-        raise ValueError(
-            f"max_context {max_context} exceeds template length {len(template)}"
-        )
     first = samples[0]
     for s in samples:
         if (s.width, s.height, s.channel_count) != (
@@ -110,6 +84,14 @@ def conditional_entropy_profile(
             raise ValueError(
                 "all sample lattices must share dimensions and alphabet"
             )
+    offsets = context_offsets(max_context)
+    wrapped = {(dr % first.height, dc % first.width) for dr, dc in offsets}
+    if len(wrapped) < max_context or (0, 0) in wrapped:
+        raise ValueError(
+            f"context depth {max_context} does not fit on a "
+            f"{first.width}x{first.height} lattice: its offsets wrap onto "
+            "the cell itself or onto each other"
+        )
     f_count = first.channel_count
     if f_count ** (max_context + 1) > 2 ** 62:
         raise ValueError(
@@ -118,7 +100,7 @@ def conditional_entropy_profile(
         )
     stack = np.stack([s.cells for s in samples]).astype(np.int64)
     planes = [stack]
-    for dr, dc in template.offsets[:max_context]:
+    for dr, dc in offsets:
         # value at offset (dr, dc) from each cell, toroidal wrap
         planes.append(np.roll(stack, (-dr, -dc), axis=(1, 2)))
     h: list[float] = []
@@ -168,11 +150,10 @@ def excess_entropy(
 def estimate_excess_entropy(
     samples: Sequence[ChannelLattice],
     max_context: int = 4,
-    template: NeighborhoodTemplate | None = None,
     tolerance: float = 0.01,
 ) -> EntropyProfile:
     """One-stop pooled estimate over a set of sample lattices."""
-    h = conditional_entropy_profile(samples, max_context, template)
+    h = conditional_entropy_profile(samples, max_context)
     excess, rate, converged = excess_entropy(h, tolerance)
     return EntropyProfile(
         conditional_entropies=h, entropy_rate=rate, excess=excess, converged=converged,

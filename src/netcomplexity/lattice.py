@@ -370,7 +370,7 @@ def _summarize(rows: list[StabilityRow]) -> StabilityStudy:
 
 def stability_instance_rows(
     instance: int,
-    allocator: str,
+    plan: ChannelLattice | None,
     width: int,
     height: int,
     channel_count: int,
@@ -384,12 +384,13 @@ def stability_instance_rows(
 ) -> list[StabilityRow]:
     """All (cell, forced channel) repair distances for one instance.
 
-    allocator is one of ALLOCATORS, as stability_experiment checks.
-    cell_sample / channel_sample restrict the scan to a seeded uniform
-    subset, for lattices too large to perturb exhaustively.
+    plan is the centralized lattice every instance shares, or None for a
+    seeded son allocation per instance.  cell_sample / channel_sample
+    restrict the scan to a seeded uniform subset, for lattices too large to
+    perturb exhaustively.
     """
-    if allocator == "centralized":
-        lat = centralized_allocate(width, height, channel_count, neighborhood, boundary)
+    if plan is not None:
+        lat = plan
     else:
         inst_seed = sample_stream(seed, "instance", instance).getrandbits(48)
         lat, report = son_allocate(
@@ -448,9 +449,14 @@ def stability_experiment(
         raise ValueError(f"unknown allocator {allocator!r}")
     if instance_count < 0:
         raise ValueError("instance_count must be >= 0")
+    # built before any task, so a run of zero instances checks it too
+    plan = (
+        centralized_allocate(width, height, channel_count, neighborhood, boundary)
+        if allocator == "centralized" else None
+    )
     instance_rows = partial(
         stability_instance_rows,
-        allocator=allocator, width=width, height=height,
+        plan=plan, width=width, height=height,
         channel_count=channel_count, neighborhood=neighborhood, seed=seed,
         budget=budget, max_sweeps=max_sweeps, boundary=boundary,
         cell_sample=cell_sample, channel_sample=channel_sample,
@@ -465,9 +471,7 @@ def stability_experiment(
 # lattice file format
 
 
-def read_lattice(
-    path: str, neighborhood: str = "moore", boundary: str = "toroidal"
-) -> ChannelLattice:
+def read_lattice(path: str) -> ChannelLattice:
     """Parse a lattice file: header "W H F", then H rows of W channel ids.
 
     '#' starts a comment; blank lines are ignored.
@@ -510,8 +514,6 @@ def read_lattice(
             height=header[1],
             channel_count=header[2],
             cells=np.array(rows, dtype=np.int64),
-            neighborhood=neighborhood,
-            boundary=boundary,
         )
     except ValueError as exc:
         raise InputFormatError(f"{path}: {exc}") from None

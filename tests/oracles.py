@@ -186,18 +186,18 @@ def oracle_entropy_bits(counts) -> float:
 
 
 def oracle_stripe_h1() -> float:
-    """Conditional entropy of a cell given its west neighbor, pooled over
-    both phases of a vertical 2-stripe pattern.  Literal joint counting."""
+    """Conditional entropy of a cell given its north neighbor, pooled over
+    both phases of a horizontal 2-stripe pattern.  Literal joint counting."""
     width = height = 6
     joint: dict[tuple[int, int], int] = {}
     ctx: dict[int, int] = {}
     for phase in (0, 1):
         for r in range(height):
             for c in range(width):
-                x = (c + phase) % 2
-                west = ((c - 1) % width + phase) % 2
-                joint[(x, west)] = joint.get((x, west), 0) + 1
-                ctx[west] = ctx.get(west, 0) + 1
+                x = (r + phase) % 2
+                north = ((r - 1) % height + phase) % 2
+                joint[(x, north)] = joint.get((x, north), 0) + 1
+                ctx[north] = ctx.get(north, 0) + 1
     hj = oracle_entropy_bits(joint.values())
     hc = oracle_entropy_bits(ctx.values())
     return hj - hc

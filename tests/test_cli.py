@@ -134,8 +134,6 @@ BAD_INPUT = (
     (("correlate", "--graphs", -1), None, "graphs must be >= 0"),
     (("excess-entropy", "--generate", "iid", "--dims", "8x8", "--mmax", 0), None,
      "mmax must be >= 1"),
-    (("excess-entropy", "--generate", "iid", "--dims", "8x8", "--radius", 0), None,
-     "radius must be >= 1"),
     (("son-stability", "--max-sweeps", -1), None, "max_sweeps must be >= 0"),
     (("son-stability", "--allocator", "centralized", "--max-sweeps", -1), None,
      "max_sweeps must be >= 0, got -1"),
@@ -317,6 +315,19 @@ def test_stability_centralized_matches_library(tmp_path):
     assert int(summary_value(summary, "exceeded_count")) == study.exceeded_count
 
 
+def test_stability_checks_the_centralized_plan_without_instances(capsys):
+    # an odd torus cannot close the reuse pattern, with or without instances
+    errors = []
+    for instances in (0, 1):
+        assert run_cli(
+            "son-stability", "--allocator", "centralized", "--dims", "3x3",
+            "--instances", instances,
+        ) == 2
+        errors.append(capsys.readouterr().err)
+    assert errors[0] == errors[1]
+    assert "does not close on a 3x3 torus" in errors[0]
+
+
 def test_stability_infeasible_channels_exits_two(capsys):
     assert run_cli(
         "son-stability", "--allocator", "centralized",
@@ -363,6 +374,21 @@ def test_excess_entropy_requires_exactly_one_source(tmp_path, capsys):
     assert run_cli("excess-entropy") == 2
     assert run_cli("excess-entropy", lat, "--generate", "iid") == 2
     capsys.readouterr()
+
+
+def test_excess_entropy_context_deeper_than_the_lattice_exits_two(capsys):
+    assert run_cli(
+        "excess-entropy", "--generate", "iid", "--dims", "2x2", "--channels", 4,
+        "--count", 200, "--mmax", 9, "--seed", 1,
+    ) == 2
+    assert "context depth 9 does not fit on a 2x2 lattice" in capsys.readouterr().err
+
+
+def test_excess_entropy_son_generator_defaults_converge(capsys):
+    assert run_cli("excess-entropy", "--generate", "son") == 0
+    out = capsys.readouterr().out
+    assert '"channels": 6' in out
+    assert "# sample_count: 10" in out
 
 
 def test_excess_entropy_iid_generator_near_full_rate(tmp_path):
@@ -632,8 +658,7 @@ PINNED_RUNS = (
     ("excess-entropy-iid", ("excess-entropy", "--generate", "iid",
                             "--dims", "12x10", "--channels", 3, "--count", 2,
                             "--neighborhood", "von-neumann", "--mmax", 3,
-                            "--radius", 1, "--tolerance", 0.05, "--seed", 6,
-                            "--out", "ee.csv")),
+                            "--tolerance", 0.05, "--seed", 6, "--out", "ee.csv")),
     ("excess-entropy-files", ("excess-entropy", "son.lat", "--mmax", 2,
                               "--out", "eef.csv")),
     ("abm", ("abm", "--iterations", 30, "--mac", "csma", "--persistence", 0.5,
@@ -651,8 +676,8 @@ PINNED_SHA256 = {
     "cfc": "b4f2f5fa48c61a219db6fc7bd858413789a181d6667b7cb29c59c9a22ed2c9f5",
     "son-run": "409989f3ae1cebd7da180546b2515d4888fecdb2f598e353fdace107785645b3",
     "son-stability": "7465bcef0d9ea421e91b1549cc19a7649c3f902d2e29e9a2483e23b578e8b7e8",
-    "excess-entropy-iid": "709186729cb722ccd1027a3527a8bec89e0392d25b3018c5c8c4c53267208a41",
-    "excess-entropy-files": "20fc461d2dbaed7ee5144251369350363f75e11aad33ceea8793a3a0d65e7858",
+    "excess-entropy-iid": "59f5bb064d2794555ccc23f139d25e89ad1a423f8acc435245798d6299692944",
+    "excess-entropy-files": "b95f7859eb3892cc356671e1b70d5f7d918222dd854e66e33a41308647836073",
     "abm": "1ce04dea92f55fa62cc0e65866aee7b5024677b86a17f94a5de8920b9f7dbdd7",
     "correlate": "f447ae9827bd30b4945112a18de79a1994ef368a4a70258b627e133b3a161bb8",
 }

@@ -6,9 +6,8 @@ import numpy as np
 import pytest
 
 from netcomplexity.entropy import (
-    DEFAULT_TEMPLATE,
-    NeighborhoodTemplate,
     conditional_entropy_profile,
+    context_offsets,
     empirical_entropy,
     estimate_excess_entropy,
     excess_entropy,
@@ -32,36 +31,29 @@ def random_lattice(width, height, channels, seed, count=1):
 
 
 # ---------------------------------------------------------------------------
-# neighborhood templates
+# context order
 
 
 def test_chebyshev_ring_one_is_clockwise_from_north():
-    tpl = NeighborhoodTemplate.chebyshev(1)
-    assert tpl.offsets == (
+    assert context_offsets(8) == (
         (-1, 0), (-1, 1), (0, 1), (1, 1), (1, 0), (1, -1), (0, -1), (-1, -1),
     )
 
 
 def test_chebyshev_two_has_inner_ring_first():
-    tpl = NeighborhoodTemplate.chebyshev(2)
-    assert len(tpl) == 24
-    assert tpl.offsets[:8] == NeighborhoodTemplate.chebyshev(1).offsets
-    assert tpl.offsets[8] == (-2, 0)
-    assert max(max(abs(r), abs(c)) for r, c in tpl.offsets[8:]) == 2
-    assert len(set(tpl.offsets)) == 24
+    offsets = context_offsets(24)
+    assert offsets[8:11] == ((-2, 0), (-2, 1), (-2, 2))
+    assert max(max(abs(r), abs(c)) for r, c in offsets[8:]) == 2
+    assert len(set(offsets)) == 24
+    assert (0, 0) not in offsets
 
 
-def test_default_template_is_radius_two():
-    assert DEFAULT_TEMPLATE.offsets == NeighborhoodTemplate.chebyshev(2).offsets
-
-
-def test_template_rejects_center_and_duplicates():
-    with pytest.raises(ValueError):
-        NeighborhoodTemplate(offsets=((0, 0),))
-    with pytest.raises(ValueError):
-        NeighborhoodTemplate(offsets=((0, 1), (0, 1)))
-    with pytest.raises(ValueError):
-        NeighborhoodTemplate.chebyshev(0)
+def test_shallower_contexts_are_prefixes_of_deeper_ones():
+    for n in range(49):
+        deep = context_offsets(n)
+        assert len(deep) == n
+        for k in range(n + 1):
+            assert context_offsets(k) == deep[:k]
 
 
 # ---------------------------------------------------------------------------
@@ -116,25 +108,24 @@ def test_empirical_entropy_rejections():
 # conditional entropy profile
 
 
-def test_stripe_pattern_is_fully_determined_by_west_neighbor():
-    # Vertical 2-stripes, both phases pooled: the west cell fixes the value.
-    tpl = NeighborhoodTemplate(offsets=((0, -1),))
+def test_stripe_pattern_is_fully_determined_by_north_neighbor():
+    # Horizontal 2-stripes, both phases pooled: the north cell fixes the value.
     samples = [
         ChannelLattice(6, 6, 2, np.fromfunction(
-            lambda r, c: (c + phase) % 2, (6, 6), dtype=np.int64))
+            lambda r, c: (r + phase) % 2, (6, 6), dtype=np.int64))
         for phase in (0, 1)
     ]
-    (h1,) = conditional_entropy_profile(samples, 1, tpl)
+    (h1,) = conditional_entropy_profile(samples, 1)
     assert h1 == pytest.approx(oracle_stripe_h1(), abs=1e-12)
     assert h1 == pytest.approx(0.0, abs=1e-12)
 
 
 def test_profile_matches_literal_counting_oracle():
-    tpl = NeighborhoodTemplate.chebyshev(1)
+    offsets = ((-1, 0), (-1, 1), (0, 1), (1, 1))
     for seed in range(4):
         samples = random_lattice(6, 5, 3, seed, count=2)
-        got = conditional_entropy_profile(samples, 4, tpl)
-        want = oracle_conditional_profile(samples, 4, tpl.offsets)
+        got = conditional_entropy_profile(samples, 4)
+        want = oracle_conditional_profile(samples, 4, offsets)
         assert got == pytest.approx(want, abs=1e-10)
 
 
@@ -187,13 +178,26 @@ def test_profile_validation():
     with pytest.raises(ValueError):
         conditional_entropy_profile(samples, 0)
     with pytest.raises(ValueError):
-        conditional_entropy_profile(samples, 25)  # template holds 24 offsets
+        conditional_entropy_profile(samples, 25)  # a 5x5 torus has 24 other cells
     mixed = samples + random_lattice(6, 5, 3, 1)
     with pytest.raises(ValueError):
         conditional_entropy_profile(mixed, 2)
     wide = [ChannelLattice(2, 2, 2 ** 16, np.zeros((2, 2), dtype=np.int64))]
     with pytest.raises(ValueError):
         conditional_entropy_profile(wide, 4)
+
+
+@pytest.mark.parametrize("side,depth,fits", [
+    (2, 3, True), (2, 4, False), (2, 9, False), (3, 8, True), (3, 9, False),
+])
+def test_context_must_fit_on_the_torus(side, depth, fits):
+    # past the fit, the spiral wraps onto the cell itself or a cell it has
+    samples = random_lattice(side, side, 4, 1, count=3)
+    if fits:
+        assert len(conditional_entropy_profile(samples, depth)) == depth
+    else:
+        with pytest.raises(ValueError, match=f"depth {depth} .* {side}x{side}"):
+            conditional_entropy_profile(samples, depth)
 
 
 # ---------------------------------------------------------------------------

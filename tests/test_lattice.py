@@ -364,7 +364,7 @@ def test_lattice_roundtrip(tmp_path):
     lat, _ = son_allocate(5, 3, 4, "moore", seed=7)
     p = str(tmp_path / "l.lat")
     write_lattice(lat, p, header_lines=["demo"])
-    back = read_lattice(p, neighborhood="moore")
+    back = read_lattice(p)
     assert np.array_equal(back.cells, lat.cells)
     assert (back.width, back.height, back.channel_count) == (5, 3, 4)
 

@@ -1,0 +1,35 @@
+"""README examples stay in step with the CLI: every `netcomplexity` command
+in an `sh` block parses with the real parser, and none of them is run."""
+
+import re
+import shlex
+from pathlib import Path
+
+import pytest
+
+from netcomplexity.cli import build_parser
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def readme_commands():
+    commands = []
+    for block in re.findall(r"^```sh\n(.*?)^```", README.read_text(encoding="utf-8"),
+                            flags=re.M | re.S):
+        for line in block.replace("\\\n", " ").splitlines():
+            words = shlex.split(line)
+            if words and words[0] == "netcomplexity":
+                commands.append(words[1:])
+    return commands
+
+
+def test_readme_has_cli_examples():
+    assert len(readme_commands()) >= 5
+
+
+@pytest.mark.parametrize("argv", readme_commands(), ids=" ".join)
+def test_readme_example_parses(argv):
+    try:
+        build_parser().parse_args(argv)
+    except SystemExit as exc:
+        pytest.fail(f"usage error (exit {exc.code}) for: netcomplexity {' '.join(argv)}")
