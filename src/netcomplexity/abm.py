@@ -109,15 +109,32 @@ class Car:
 
 
 class TrafficWorld:
-    """Mutable grid state; step() applies arrivals, movement, removal."""
+    """Mutable grid state; step() applies arrivals, movement, removal.
+
+    Every cell of the grid is one slot of `cells`, holding a Car or None.
+    `paths[lane]` lists the cell indices a car of that lane visits, from the
+    entry cell to the far edge: `length` approach cells, the lane's two
+    BOX_PATHS cells, then `length` exit cells.  Each box cell lies on one
+    horizontal and one vertical path.  Cells 0..4*length-1 are the approach
+    cells in SENSOR_LANES order, so a sensor's id is its cell index.
+    """
 
     def __init__(self, road_length: int, arrival_probability: float, rng) -> None:
         self.length = road_length
         self.arrival_probability = arrival_probability
         self.rng = rng
-        self.approach = {lane: [None] * road_length for lane in LANES}
-        self.exit = {lane: [None] * road_length for lane in LANES}
-        self.box: dict[tuple[int, int], Car] = {}
+        length = road_length
+        exits = len(LANES) * length  # first exit cell
+        box = 2 * exits  # box cell (row, col) is box + 2 * row + col
+        self.cells: list[Car | None] = [None] * (box + 4)
+        self.paths = {
+            lane: (
+                *range(k * length, (k + 1) * length),
+                *(box + 2 * row + col for row, col in BOX_PATHS[lane]),
+                *range(exits + k * length, exits + (k + 1) * length),
+            )
+            for k, lane in enumerate(SENSOR_LANES)
+        }
         self.green = "h"
         self.iteration = 0
         self.created = 0
@@ -126,85 +143,48 @@ class TrafficWorld:
 
     def step(self) -> None:
         now = self.iteration
-        length = self.length
+        cells = self.cells
         # arrivals: sample every edge so the arrival stream is independent
         # of blocking; a blocked car is discarded, not queued
         for lane in LANES:
             if self.rng.random() < self.arrival_probability:
-                entry = self.approach[lane]
-                if entry[0] is None:
-                    entry[0] = Car(self.created, lane, now)
+                entry = self.paths[lane][0]
+                if cells[entry] is None:
+                    cells[entry] = Car(self.created, lane, now)
                     self.created += 1
                 else:
                     self.blocked_arrivals += 1
-        # movement, one lane at a time front to back; cars placed this
-        # iteration sit out the movement phase so speed is one cell per
-        # iteration from the entry cell onward
+        # movement, one lane at a time front to back: a car advances one
+        # cell when the next cell is free.  Cars placed this iteration sit
+        # out, so speed is one cell per iteration from the entry cell on,
+        # and a car of the crossing lane in a shared box cell moves with
+        # its own lane.
         for lane in LANES:
-            first, second = BOX_PATHS[lane]
-            ex = self.exit[lane]
-            ap = self.approach[lane]
-            box = self.box
-            if ex[length - 1] is not None:
-                ex[length - 1] = None
+            path = self.paths[lane]
+            if cells[path[-1]] is not None:
+                cells[path[-1]] = None
                 self.departed += 1
-            for i in range(length - 2, -1, -1):
-                car = ex[i]
-                if car is None:
-                    continue
-                if ex[i + 1] is None:
-                    ex[i + 1] = car
-                    ex[i] = None
-                    car.moved = True
-                else:
-                    car.moved = False
-            car = box.get(second)
-            if car is not None and car.lane == lane:
-                if ex[0] is None:
-                    ex[0] = car
-                    del box[second]
-                    car.moved = True
-                else:
-                    car.moved = False
-            car = box.get(first)
-            if car is not None and car.lane == lane:
-                if second not in box:
-                    box[second] = car
-                    del box[first]
-                    car.moved = True
-                else:
-                    car.moved = False
-            car = ap[length - 1]
-            if car is not None and car.arrived_at != now:
-                # stop line: cross only on green and only when the whole
-                # box path is clear, which provably rules out gridlock
-                if (
-                    self.green == LANE_AXIS[lane]
-                    and first not in box
-                    and second not in box
-                ):
-                    box[first] = car
-                    ap[length - 1] = None
-                    car.moved = True
-                else:
-                    car.moved = False
-            for i in range(length - 2, -1, -1):
-                car = ap[i]
-                if car is None or car.arrived_at == now:
-                    continue
-                if ap[i + 1] is None:
-                    ap[i + 1] = car
-                    ap[i] = None
-                    car.moved = True
-                else:
-                    car.moved = False
+            # stop line: cross only on green and only when the whole box
+            # path is clear, which provably rules out gridlock
+            stop, second = path[self.length - 1], path[self.length + 1]
+            green = self.green == LANE_AXIS[lane]
+            ahead = path[-1]
+            for here in path[-2::-1]:
+                car = cells[here]
+                if car is not None and car.lane == lane and car.arrived_at != now:
+                    if cells[ahead] is None and (
+                        here != stop or (green and cells[second] is None)
+                    ):
+                        cells[ahead] = car
+                        cells[here] = None
+                        car.moved = True
+                    else:
+                        car.moved = False
+                ahead = here
         self.iteration += 1
 
     def cars_on_grid(self) -> list[Car]:
-        cars = [c for lane in LANES for c in self.approach[lane] if c is not None]
-        cars += [c for lane in LANES for c in self.exit[lane] if c is not None]
-        cars += list(self.box.values())
-        return cars
+        return [c for c in self.cells if c is not None]
 
 
 class SensorField:
@@ -221,21 +201,20 @@ class SensorField:
         i.e. static cars on approach cells."""
         waiting = 0
         state = self.state
-        sid = 0
-        for lane in SENSOR_LANES:
-            for car in world.approach[lane]:
-                if car is None:
-                    new = INACTIVE
-                elif car.moved:
-                    new = MOVING
-                else:
-                    new = STATIC
-                    waiting += 1
-                if state[sid] != new:
-                    state[sid] = new
-                    pending[sid] = new
-                    self.reports_generated += 1
-                sid += 1
+        # the first `length` cells of each path, in SENSOR_LANES order, are
+        # the cells 0..len(state)-1
+        for sid, car in enumerate(world.cells[:len(state)]):
+            if car is None:
+                new = INACTIVE
+            elif car.moved:
+                new = MOVING
+            else:
+                new = STATIC
+                waiting += 1
+            if state[sid] != new:
+                state[sid] = new
+                pending[sid] = new
+                self.reports_generated += 1
         return waiting
 
 

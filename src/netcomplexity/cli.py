@@ -77,9 +77,12 @@ def _integer(value):
 
 
 def _number(value) -> float:
+    # a JSON config can hold NaN, Infinity and integers past the float
+    # range; nan would pass every range check
     if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return float(value)
-    raise ValueError("a number")
+        if abs(value) <= sys.float_info.max:
+            return float(value)
+    raise ValueError("a finite number")
 
 
 def _text(value) -> str:

@@ -119,21 +119,21 @@ class MeanInformation:
 
 
 def _scale_means(
-    adj: np.ndarray, batches, first: int, r: int, total_count: int, sampled: bool
+    adj: np.ndarray, batches, r: int, total_count: int, sampled: bool
 ) -> list[MeanInformation]:
-    """Mean information at scales first..r over one stream of member batches."""
+    """Mean information at scales 1..r over one stream of member batches."""
     acc = [0.0] * r
     acc_sq = [0.0] * r
     seen = 0
     for members in batches:
         vals = _information_batch(adj, members, r)
-        for k in range(first - 1, r):
+        for k in range(r):
             acc[k] += float(vals[k].sum())
             acc_sq[k] += float((vals[k] * vals[k]).sum())
         seen += len(members)
     assert seen == total_count
     means = []
-    for k in range(first - 1, r):
+    for k in range(r):
         if not sampled or seen < 2:
             stderr = 0.0
         else:
@@ -150,7 +150,6 @@ def mean_information(
     size: int,
     r: int,
     policy: SamplingPolicy | None = None,
-    _adj: np.ndarray | None = None,
 ) -> MeanInformation:
     """Mean information over size-j induced subgraphs at scale r.
 
@@ -164,13 +163,13 @@ def mean_information(
         raise ValueError(f"scale r must be >= 1, got {r}")
     if not (1 + r <= size <= n):
         raise ValueError(f"size {size} outside {1 + r}..{n} for scale r={r}")
-    adj = _dense_adjacency(g) if _adj is None else _adj
+    adj = _dense_adjacency(g)
     if policy.resolved_mode(n, size) == "exhaustive":
         batches = _exhaustive_batches(n, size)
-        return _scale_means(adj, batches, r, r, math.comb(n, size), False)[0]
+        return _scale_means(adj, batches, r, math.comb(n, size), False)[-1]
     rng = sample_stream(policy.seed, r, size)
     batches = _sampled_batches(n, size, policy.sample_count, rng)
-    return _scale_means(adj, batches, r, r, policy.sample_count, True)[0]
+    return _scale_means(adj, batches, r, policy.sample_count, True)[-1]
 
 
 # ---------------------------------------------------------------------------
@@ -236,11 +235,11 @@ def functional_complexity(
         top = min(r_max - 1, size - 1)
         if policy.resolved_mode(n, size) == "exhaustive":
             batches = _exhaustive_batches(n, size)
-            row = _scale_means(adj, batches, 1, top, math.comb(n, size), False)
+            row = _scale_means(adj, batches, top, math.comb(n, size), False)
             means.update(((r, size), mi) for r, mi in enumerate(row, 1))
         else:
             for r in range(1, top + 1):
-                means[r, size] = mean_information(g, size, r, policy, _adj=adj)
+                means[r, size] = mean_information(g, size, r, policy)
     cells: list[ScaleCell] = []
     total = 0.0
     for r in range(1, r_max):

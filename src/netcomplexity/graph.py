@@ -101,40 +101,33 @@ def is_connected(g: FunctionalTopology) -> bool:
     return all(d >= 0 for d in dist)
 
 
-def _require_connected(dist: list[int], source: int) -> None:
-    for v, d in enumerate(dist):
-        if d < 0:
-            raise ValueError(
-                f"graph is disconnected: nodes {source} and {v} "
-                "are in different components"
-            )
+def _distances(g: FunctionalTopology, metric: str) -> list[list[int]]:
+    """Hop distances between all node pairs of the undirected view, one row
+    per source; rejects N = 1, naming the metric, and disconnected graphs."""
+    if g.node_count < 2:
+        raise ValueError(f"{metric} is undefined for a single-node graph")
+    adj = g.undirected_neighbors
+    rows = [_bfs_distances(adj, 0)]
+    # row 0 reaches every node exactly when the graph is connected
+    if -1 in rows[0]:
+        raise ValueError(
+            f"graph is disconnected: nodes 0 and {rows[0].index(-1)} "
+            "are in different components"
+        )
+    rows += (_bfs_distances(adj, s) for s in range(1, g.node_count))
+    return rows
 
 
 def diameter(g: FunctionalTopology) -> int:
     """Longest shortest path of the undirected view; rejects N = 1 and
     disconnected graphs."""
-    if g.node_count < 2:
-        raise ValueError("diameter is undefined for a single-node graph")
-    adj = g.undirected_neighbors
-    best = 0
-    for s in range(g.node_count):
-        dist = _bfs_distances(adj, s)
-        _require_connected(dist, s)
-        best = max(best, max(dist))
-    return best
+    return max(max(row) for row in _distances(g, "diameter"))
 
 
 def average_path_length(g: FunctionalTopology) -> float:
     """Mean shortest-path length over unordered node pairs (undirected view)."""
-    if g.node_count < 2:
-        raise ValueError("average path length needs at least 2 nodes")
-    adj = g.undirected_neighbors
-    total = 0
-    for s in range(g.node_count):
-        dist = _bfs_distances(adj, s)
-        _require_connected(dist, s)
-        total += sum(dist)
-    # each unordered pair counted twice in the double loop
+    total = sum(sum(row) for row in _distances(g, "average path length"))
+    # each unordered pair counted twice over the rows
     return total / (g.node_count * (g.node_count - 1))
 
 
@@ -226,6 +219,16 @@ def mean_and_stderr(values: Sequence[float]) -> tuple[float, float]:
 # edge-list file format
 
 
+def data_lines(path: str):
+    """Yield (lineno, raw, fields) for each line of a text file that holds
+    data: '#' starts a comment and blank lines are skipped."""
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            fields = raw.split("#", 1)[0].split()
+            if fields:
+                yield lineno, raw, fields
+
+
 def read_edge_list(path: str) -> FunctionalTopology:
     """Parse a graph file.
 
@@ -234,41 +237,36 @@ def read_edge_list(path: str) -> FunctionalTopology:
     """
     header: tuple[int, bool] | None = None
     edges: list[tuple[int, int]] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            fields = line.split()
-            if header is None:
-                if len(fields) != 3 or fields[0] != "N":
-                    raise InputFormatError(
-                        f"{path}:{lineno}: expected header 'N <count> "
-                        f"<directed|undirected>', got {raw.strip()!r}"
-                    )
-                try:
-                    count = int(fields[1])
-                except ValueError:
-                    raise InputFormatError(
-                        f"{path}:{lineno}: node count {fields[1]!r} is not an integer"
-                    ) from None
-                if fields[2] not in ("directed", "undirected"):
-                    raise InputFormatError(
-                        f"{path}:{lineno}: mode must be 'directed' or "
-                        f"'undirected', got {fields[2]!r}"
-                    )
-                header = (count, fields[2] == "directed")
-                continue
-            if len(fields) != 2:
+    for lineno, raw, fields in data_lines(path):
+        if header is None:
+            if len(fields) != 3 or fields[0] != "N":
                 raise InputFormatError(
-                    f"{path}:{lineno}: expected 'u v', got {raw.strip()!r}"
+                    f"{path}:{lineno}: expected header 'N <count> "
+                    f"<directed|undirected>', got {raw.strip()!r}"
                 )
             try:
-                edges.append((int(fields[0]), int(fields[1])))
+                count = int(fields[1])
             except ValueError:
                 raise InputFormatError(
-                    f"{path}:{lineno}: non-integer node id in {raw.strip()!r}"
+                    f"{path}:{lineno}: node count {fields[1]!r} is not an integer"
                 ) from None
+            if fields[2] not in ("directed", "undirected"):
+                raise InputFormatError(
+                    f"{path}:{lineno}: mode must be 'directed' or "
+                    f"'undirected', got {fields[2]!r}"
+                )
+            header = (count, fields[2] == "directed")
+            continue
+        if len(fields) != 2:
+            raise InputFormatError(
+                f"{path}:{lineno}: expected 'u v', got {raw.strip()!r}"
+            )
+        try:
+            edges.append((int(fields[0]), int(fields[1])))
+        except ValueError:
+            raise InputFormatError(
+                f"{path}:{lineno}: non-integer node id in {raw.strip()!r}"
+            ) from None
     if header is None:
         raise InputFormatError(f"{path}: empty file, missing header")
     try:

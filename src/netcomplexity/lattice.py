@@ -18,7 +18,7 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .graph import InputFormatError, mean_and_stderr, sample_stream
+from .graph import InputFormatError, data_lines, mean_and_stderr, sample_stream
 
 NEIGHBORHOODS = {
     "moore": ((-1, -1), (-1, 0), (-1, 1), (0, -1), (0, 1), (1, -1), (1, 0), (1, 1)),
@@ -478,30 +478,25 @@ def read_lattice(path: str) -> ChannelLattice:
     """
     header: tuple[int, int, int] | None = None
     rows: list[list[int]] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            fields = line.split()
-            try:
-                values = [int(x) for x in fields]
-            except ValueError:
+    for lineno, raw, fields in data_lines(path):
+        try:
+            values = [int(x) for x in fields]
+        except ValueError:
+            raise InputFormatError(
+                f"{path}:{lineno}: non-integer token in {raw.strip()!r}"
+            ) from None
+        if header is None:
+            if len(values) != 3:
                 raise InputFormatError(
-                    f"{path}:{lineno}: non-integer token in {raw.strip()!r}"
-                ) from None
-            if header is None:
-                if len(values) != 3:
-                    raise InputFormatError(
-                        f"{path}:{lineno}: expected header 'W H F', got {raw.strip()!r}"
-                    )
-                header = (values[0], values[1], values[2])
-                continue
-            if len(values) != header[0]:
-                raise InputFormatError(
-                    f"{path}:{lineno}: expected {header[0]} values, got {len(values)}"
+                    f"{path}:{lineno}: expected header 'W H F', got {raw.strip()!r}"
                 )
-            rows.append(values)
+            header = (values[0], values[1], values[2])
+            continue
+        if len(values) != header[0]:
+            raise InputFormatError(
+                f"{path}:{lineno}: expected {header[0]} values, got {len(values)}"
+            )
+        rows.append(values)
     if header is None:
         raise InputFormatError(f"{path}: empty file, missing header")
     if len(rows) != header[1]:

@@ -43,22 +43,23 @@ SOUTH3 = sensor_id("south", 3, 20)
 
 
 def locate(world, ident):
+    length = world.length
     for lane in LANES:
-        for i, car in enumerate(world.approach[lane]):
-            if car is not None and car.ident == ident:
-                return ("approach", lane, i)
-        for i, car in enumerate(world.exit[lane]):
-            if car is not None and car.ident == ident:
-                return ("exit", lane, i)
-    for key, car in world.box.items():
-        if car.ident == ident:
-            return ("box",) + key
+        for k, cell in enumerate(world.paths[lane]):
+            car = world.cells[cell]
+            if car is None or car.ident != ident:
+                continue
+            if k < length:
+                return ("approach", lane, k)
+            if k < length + 2:
+                return ("box",) + BOX_PATHS[lane][k - length]
+            return ("exit", lane, k - length - 2)
     return None
 
 
 def place_car(world, lane, index, ident=0):
     car = Car(ident, lane, arrived_at=-1)
-    world.approach[lane][index] = car
+    world.cells[world.paths[lane][index]] = car
     world.created += 1
     return car
 
@@ -135,7 +136,8 @@ def test_stop_line_waits_for_clear_box_path():
     world = TrafficWorld(length, 0.0, random.Random(0))
     world.green = "h"
     blocker = Car(7, "south", arrived_at=-1)
-    world.box[(1, 0)] = blocker  # south car on its second box cell
+    # south car on its second box cell, (1, 0)
+    world.cells[world.paths["south"][length + 1]] = blocker
     world.created += 1
     car = place_car(world, "east", length - 1, ident=1)
     world.step()
@@ -179,9 +181,9 @@ def test_fresh_arrival_sits_out_the_movement_phase():
     world.step()
     # all four entries filled this iteration; none advanced yet
     for lane in LANES:
-        car = world.approach[lane][0]
+        car = world.cells[world.paths[lane][0]]
         assert car is not None and car.moved is True
-        assert world.approach[lane][1] is None
+        assert world.cells[world.paths[lane][1]] is None
 
 
 def test_conservation_and_occupancy_under_load():

@@ -129,6 +129,13 @@ BAD_INPUT = (
     (("cfc", "--graph", "p4.edges", "--limit", 0), None, "limit must be >= 1, got 0"),
     (("excess-entropy", "--generate", "iid", "--dims", "8x8", "--tolerance", -1), None,
      "tolerance must be >= 0"),
+    (("excess-entropy", "--generate", "iid", "--dims", "8x8", "--tolerance", "nan"), None,
+     "tolerance must be a finite number, got nan"),
+    (("excess-entropy", "--generate", "iid", "--dims", "8x8", "--tolerance", "inf"), None,
+     "tolerance must be a finite number, got inf"),
+    (("excess-entropy", "--generate", "iid", "--dims", "8x8"), {"tolerance": float("nan")},
+     "tolerance must be a finite number"),
+    (("abm", "--iterations", 5), {"persistence": 10 ** 400}, "persistence must be a finite"),
     (("cfc", "--graph", "p4.edges", "--mode", "uniform-sample"), {"samples": 0},
      "samples must be >= 1"),
     (("correlate", "--graphs", -1), None, "graphs must be >= 0"),

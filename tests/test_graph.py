@@ -143,6 +143,21 @@ def test_average_path_length_rejects_disconnected():
         average_path_length(g)
 
 
+def test_average_path_length_rejects_single_node():
+    with pytest.raises(ValueError, match="single-node"):
+        average_path_length(build_topology(1, []))
+
+
+@pytest.mark.parametrize("metric", [diameter, average_path_length])
+def test_distance_metrics_name_the_first_unreached_node(metric):
+    g = build_topology(5, [(0, 1), (1, 2), (3, 4)])
+    with pytest.raises(ValueError) as exc:
+        metric(g)
+    assert str(exc.value) == (
+        "graph is disconnected: nodes 0 and 3 are in different components"
+    )
+
+
 def test_average_degree_values():
     assert average_degree(path(4)) == pytest.approx(1.5, abs=1e-15)
     assert average_degree(build_topology(5, [])) == 0.0
@@ -259,6 +274,21 @@ def test_edge_list_bad_pair(tmp_path):
     p.write_text("N 3 undirected\n0 1 2\n")
     with pytest.raises(InputFormatError, match="expected 'u v'"):
         read_edge_list(str(p))
+
+
+@pytest.mark.parametrize("text,message", [
+    ("# c\n\nN 3\n", ":3: expected header 'N <count> <directed|undirected>', got 'N 3'"),
+    ("N x undirected\n", ":1: node count 'x' is not an integer"),
+    ("N 3 both\n", ":1: mode must be 'directed' or 'undirected', got 'both'"),
+    ("N 3 undirected # c\n\n0 a # e\n", ":3: non-integer node id in '0 a # e'"),
+    ("# only a comment\n\n", ": empty file, missing header"),
+])
+def test_edge_list_errors_count_comment_and_blank_lines(tmp_path, text, message):
+    p = tmp_path / "bad.edges"
+    p.write_text(text)
+    with pytest.raises(InputFormatError) as exc:
+        read_edge_list(str(p))
+    assert str(exc.value) == str(p) + message
 
 
 def test_edge_list_semantic_error_is_input_error(tmp_path):

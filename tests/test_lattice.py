@@ -6,6 +6,7 @@ import random
 import numpy as np
 import pytest
 
+from netcomplexity.graph import InputFormatError
 from netcomplexity.lattice import (
     ChannelLattice,
     centralized_allocate,
@@ -374,6 +375,21 @@ def test_lattice_file_bad_row_width(tmp_path):
     p.write_text("3 2 4\n0 1 2\n0 1\n")
     with pytest.raises(ValueError, match="expected 3 values"):
         read_lattice(str(p))
+
+
+@pytest.mark.parametrize("text,message", [
+    ("# c\n\n2 2\n", ":3: expected header 'W H F', got '2 2'"),
+    ("2 2 3 # h\n\n0 1\n1 a # r\n", ":4: non-integer token in '1 a # r'"),
+    ("2 2 3\n# c\n0 1 2\n", ":3: expected 2 values, got 3"),
+    ("2 2 3\n0 1\n\n", ": expected 2 rows, got 1"),
+    ("# only a comment\n", ": empty file, missing header"),
+])
+def test_lattice_file_errors_count_comment_and_blank_lines(tmp_path, text, message):
+    p = tmp_path / "bad.lat"
+    p.write_text(text)
+    with pytest.raises(InputFormatError) as exc:
+        read_lattice(str(p))
+    assert str(exc.value) == str(p) + message
 
 
 def test_lattice_file_bad_value(tmp_path):

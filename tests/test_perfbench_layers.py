@@ -1,0 +1,38 @@
+"""The traced benchmark run wraps library names given as strings in
+perfbench/layers.py; a renamed or removed name must fail here, not only in
+a traced benchmark run."""
+
+import sys
+from pathlib import Path
+
+from netcomplexity import abm, cli, complexity, harness, lattice
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+
+import layers  # noqa: E402
+from tracing import Tracer  # noqa: E402
+
+OWNERS = (
+    cli, complexity, harness, lattice,
+    abm.TrafficWorld, abm.SensorField, abm.DecisionMaker, abm.MacChannel,
+)
+
+
+def test_install_wraps_existing_names_and_restore_puts_them_back():
+    before = [dict(vars(owner)) for owner in OWNERS]
+    tracer = Tracer()
+    layers.install(tracer)
+    try:
+        for owner, names in zip(OWNERS, before):
+            wrapped = {
+                attr: original for attr, original in names.items()
+                if vars(owner)[attr] is not original
+            }
+            assert wrapped, f"nothing wrapped in {owner.__name__}"
+            for attr, original in wrapped.items():
+                assert vars(owner)[attr].__wrapped__ is original
+    finally:
+        tracer.restore()
+    for owner, names in zip(OWNERS, before):
+        assert vars(owner).keys() == names.keys()
+        assert all(vars(owner)[attr] is value for attr, value in names.items())
