@@ -218,7 +218,7 @@ _MAX_SWEEPS = Param("max_sweeps", _integer, 10_000, minimum=0)
 _NEIGHBORHOOD = Param("neighborhood", _text, "moore", choices=tuple(NEIGHBORHOODS))
 _SAMPLING = (
     Param("mode", _text, "exhaustive", choices=SAMPLING_MODES),
-    Param("samples", _integer, 10_000, "subset draws per sampled size", minimum=1),
+    Param("samples", _integer, 10_000, "subset draws per sampled size", minimum=2),
     Param("limit", _integer, 100_000,
           "max subsets per size before sampling kicks in", minimum=1),
 )

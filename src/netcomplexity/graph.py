@@ -42,6 +42,18 @@ class FunctionalTopology:
             adj[v].add(u)
         return tuple(tuple(sorted(a)) for a in adj)
 
+    @cached_property
+    def _distance_rows(self) -> tuple[list[int], ...]:
+        """Hop distances of the undirected view, one row per source node;
+        only row 0 when the graph is disconnected.  diameter and
+        average_path_length share this one all-pairs pass."""
+        adj = self.undirected_neighbors
+        first = _bfs_distances(adj, 0)
+        # row 0 reaches every node exactly when the graph is connected
+        if -1 in first:
+            return (first,)
+        return (first, *(_bfs_distances(adj, s) for s in range(1, self.node_count)))
+
 
 def build_topology(
     node_count: int,
@@ -101,20 +113,17 @@ def is_connected(g: FunctionalTopology) -> bool:
     return all(d >= 0 for d in dist)
 
 
-def _distances(g: FunctionalTopology, metric: str) -> list[list[int]]:
-    """Hop distances between all node pairs of the undirected view, one row
-    per source; rejects N = 1, naming the metric, and disconnected graphs."""
+def _distances(g: FunctionalTopology, metric: str) -> tuple[list[int], ...]:
+    """g._distance_rows; rejects N = 1, naming the metric, and disconnected
+    graphs."""
     if g.node_count < 2:
         raise ValueError(f"{metric} is undefined for a single-node graph")
-    adj = g.undirected_neighbors
-    rows = [_bfs_distances(adj, 0)]
-    # row 0 reaches every node exactly when the graph is connected
+    rows = g._distance_rows
     if -1 in rows[0]:
         raise ValueError(
             f"graph is disconnected: nodes 0 and {rows[0].index(-1)} "
             "are in different components"
         )
-    rows += (_bfs_distances(adj, s) for s in range(1, g.node_count))
     return rows
 
 
@@ -178,8 +187,9 @@ class SamplingPolicy:
     def __post_init__(self) -> None:
         if self.mode not in SAMPLING_MODES:
             raise ValueError(f"unknown sampling mode {self.mode!r}")
-        if self.sample_count < 1:
-            raise ValueError("sample_count must be >= 1")
+        # one draw has no standard error, so it could only print as exact
+        if self.sample_count < 2:
+            raise ValueError("sample_count must be >= 2")
         if self.exhaustive_limit < 1:
             raise ValueError("exhaustive_limit must be >= 1")
 

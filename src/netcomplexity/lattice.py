@@ -249,7 +249,12 @@ def repair_distance(
     admissible bound is a vertex cover of the current conflicts over free
     cells only: a node with a conflict that has no free endpoint is pruned
     at once, and each free endpoint of a conflict counts as one change
-    still to come.
+    still to come.  Lookahead: when the free endpoints are exactly as many
+    as the changes left, they are the only cells that change below the
+    node, so the node is pruned when the neighbors of one of them outside
+    that set already hold every channel.  Both prunes cut only subtrees
+    without a repair, so the first repair found, and its witness, stay the
+    same.
     """
     r0, c0 = cell
     if not (0 <= r0 < lat.height and 0 <= c0 < lat.width):
@@ -289,8 +294,15 @@ def repair_distance(
             return True
         # the forced cells are the minimum vertex cover of the conflicts
         # over free cells: an admissible bound on the changes still to come
-        if len(set(free_end.values())) > depth_left:
+        forced = set(free_end.values())
+        if len(forced) > depth_left:
             return False
+        if len(forced) == depth_left:
+            # exactly the forced cells change below this node, so each needs
+            # a channel that no neighbor outside them holds
+            for e in forced:
+                if len({grid[j] for j in nbrs[e] if j not in forced}) == f_count:
+                    return False
         # pivot on the first conflict in pair order, preferring one at the
         # clamped cell, and branch on its free endpoint
         pairs = sorted(free_end)

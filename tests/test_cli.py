@@ -125,7 +125,9 @@ BAD_INPUT = (
     (("son-stability", "--channel-sample", -2), None, "channel_sample must be >= 0"),
     (("correlate", "--graphs", 2, "--nodes", 0), None, "nodes must be >= 2"),
     (("correlate", "--graphs", 2, "--mode", "uniform-sample", "--samples", -1), None,
-     "samples must be >= 1"),
+     "samples must be >= 2"),
+    (("cfc", "--graph", "p4.edges", "--mode", "uniform-sample", "--samples", 1), None,
+     "samples must be >= 2, got 1"),
     (("cfc", "--graph", "p4.edges", "--limit", 0), None, "limit must be >= 1, got 0"),
     (("excess-entropy", "--generate", "iid", "--dims", "8x8", "--tolerance", -1), None,
      "tolerance must be >= 0"),
@@ -137,7 +139,7 @@ BAD_INPUT = (
      "tolerance must be a finite number"),
     (("abm", "--iterations", 5), {"persistence": 10 ** 400}, "persistence must be a finite"),
     (("cfc", "--graph", "p4.edges", "--mode", "uniform-sample"), {"samples": 0},
-     "samples must be >= 1"),
+     "samples must be >= 2"),
     (("correlate", "--graphs", -1), None, "graphs must be >= 0"),
     (("excess-entropy", "--generate", "iid", "--dims", "8x8", "--mmax", 0), None,
      "mmax must be >= 1"),

@@ -21,6 +21,7 @@ from netcomplexity import (
     sample_stream,
     write_edge_list,
 )
+from netcomplexity import graph as graph_module
 from netcomplexity.complexity import _exhaustive_batches, _sampled_batches
 
 from oracles import oracle_subgraph_information
@@ -158,6 +159,17 @@ def test_distance_metrics_name_the_first_unreached_node(metric):
     )
 
 
+def test_distance_metrics_share_one_all_pairs_pass(monkeypatch):
+    calls = []
+    bfs = graph_module._bfs_distances
+    monkeypatch.setattr(graph_module, "_bfs_distances",
+                        lambda adj, source: calls.append(source) or bfs(adj, source))
+    g = build_topology(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)])
+    assert (diameter(g), average_path_length(g)) == (2, 1.5)
+    assert diameter(g) == 2
+    assert calls == [0, 1, 2, 3, 4]
+
+
 def test_average_degree_values():
     assert average_degree(path(4)) == pytest.approx(1.5, abs=1e-15)
     assert average_degree(build_topology(5, [])) == 0.0
@@ -240,6 +252,9 @@ def test_policy_validation():
         SamplingPolicy(mode="bogus")
     with pytest.raises(ValueError):
         SamplingPolicy(sample_count=0)
+    # one draw has no standard error
+    with pytest.raises(ValueError, match="sample_count must be >= 2"):
+        SamplingPolicy(sample_count=1)
 
 
 # ---------------------------------------------------------------------------

@@ -318,6 +318,31 @@ def test_repair_censored_counts_pinned_on_full_size_lattices(full_scans):
     }
 
 
+@pytest.mark.parametrize("size", [5, 6])
+@pytest.mark.parametrize("boundary", ["toroidal", "bounded"])
+@pytest.mark.parametrize("neighborhood, channels", [("von-neumann", 3), ("moore", 5)])
+def test_repair_is_consistent_across_budgets(size, neighborhood, channels, boundary):
+    # a distance d found at budget 8 is found again, with the same witness,
+    # when d is the last depth searched, where the lookahead prunes; budget
+    # d - 1 must then come back censored
+    lat, report = son_allocate(size, size, channels, neighborhood, seed=1,
+                               boundary=boundary)
+    assert report.converged
+    finite = 0
+    for r in range(size):
+        for c in range(size):
+            for ch in range(channels):
+                rec = repair_distance(lat, (r, c), ch, budget=8)
+                if rec.distance is None:
+                    continue
+                finite += 1
+                assert repair_distance(lat, (r, c), ch, budget=rec.distance) == rec
+                if rec.distance:
+                    shallow = repair_distance(lat, (r, c), ch, budget=rec.distance - 1)
+                    assert shallow.distance is None
+    assert finite > 0
+
+
 # ---------------------------------------------------------------------------
 # stability experiment
 
