@@ -12,6 +12,7 @@ convention, reported with a degenerate flag.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -26,7 +27,9 @@ from .graph import (
     sample_stream,
 )
 
-_BATCH = 4096  # subsets per batch; fixes the summation order of each cell
+# subsets per batch; fixes the summation order of each cell.  A cell of at
+# most one batch keeps its member array cached (see _exhaustive_batches)
+_BATCH = 4096
 _CHUNK = 256  # subsets per kernel pass; bounds the float32 stacks in memory
 
 
@@ -35,7 +38,8 @@ _CHUNK = 256  # subsets per kernel pass; bounds the float32 stacks in memory
 
 
 def _dense_adjacency(g: FunctionalTopology) -> np.ndarray:
-    a = np.zeros((g.node_count, g.node_count), dtype=np.float32)
+    """I | A as float32: every node reaches itself in zero hops."""
+    a = np.eye(g.node_count, dtype=np.float32)
     for u, v in g.edges:
         a[u, v] = 1.0
         if not g.directed:
@@ -52,31 +56,42 @@ def _entropy_of_fractions(p: np.ndarray) -> np.ndarray:
     return out
 
 
+@functools.lru_cache(maxsize=None)
+def _entropy_table(j: int) -> np.ndarray:
+    """Read-only table whose entry c is the binary entropy of c / j (0 at 0)."""
+    table = np.zeros(j + 1)
+    table[1:] = _entropy_of_fractions(np.arange(1, j + 1) / float(j))
+    table.flags.writeable = False
+    return table
+
+
 def _information_batch(adj: np.ndarray, members: np.ndarray, r: int) -> np.ndarray:
     """Information per subset at every scale 1..r for an (S, j) array of
     member indices; row k-1 of the (r, S) result holds scale k.
 
-    Reachability within k hops is (I | A)^k over the induced submatrix,
-    one float32 matmul per scale, re-binarized each step; column sums count
-    the nodes that can reach each member.  Entries never exceed j, so
-    float32 is exact.  A member reached by c nodes contributes the binary
-    entropy of c / j, read from a table.
+    adj is I | A from _dense_adjacency, so the induced submatrices, gathered
+    through the flat adjacency, already hold one-hop reach with self-loops.
+    Reachability within k hops is (I | A)^k over each submatrix, one float32
+    matmul per scale, re-binarized each step.  The reachers of each member
+    are the column sums, taken as one matmul with a row of ones; they are
+    integers of at most j, so float32 holds them exactly.  A member reached
+    by c nodes contributes the binary entropy of c / j, read from a table.
     """
     s, j = members.shape
-    table = np.zeros(j + 1)
-    table[1:] = _entropy_of_fractions(np.arange(1, j + 1) / float(j))
-    diag = np.arange(j)
+    n = adj.shape[0]
+    flat = adj.ravel()
+    table = _entropy_table(j)
+    ones = np.ones(j, dtype=np.float32)
     out = np.empty((r, s))
     for lo in range(0, s, _CHUNK):
         m = members[lo:lo + _CHUNK]
-        one_hop = adj[m[:, :, None], m[:, None, :]]
-        one_hop[:, diag, diag] = 1.0
+        one_hop = flat[m[:, :, None] * n + m[:, None, :]]
         reach = one_hop
         for k in range(r):
             if k:
                 reach = np.matmul(reach, one_hop)
                 np.minimum(reach, 1.0, out=reach)
-            counts = reach.sum(axis=1).astype(np.intp)  # reachers of each member
+            counts = np.matmul(ones, reach).astype(np.intp)  # reachers of each member
             out[k, lo:lo + len(m)] = table[counts].sum(axis=1)
     return out
 
@@ -87,10 +102,25 @@ def _member_array(rows, take: int, size: int) -> np.ndarray:
     return np.fromiter(flat, dtype=np.intp, count=take * size).reshape(take, size)
 
 
+@functools.lru_cache(maxsize=128)
+def _exhaustive_members(n: int, size: int) -> np.ndarray:
+    """Read-only array of every size-subset of range(n), in lexicographic order."""
+    total = math.comb(n, size)
+    members = _member_array(itertools.combinations(range(n), size), total, size)
+    members.flags.writeable = False
+    return members
+
+
 def _exhaustive_batches(n: int, size: int):
-    """Lexicographic member arrays in fixed-size batches."""
-    it = itertools.combinations(range(n), size)
+    """Lexicographic member arrays in fixed-size batches.  A cell that fits
+    in one batch yields its cached array, shared by every graph of n nodes;
+    larger cells are built batch by batch, since keeping them would hold
+    most of their subsets in memory for the life of the process."""
     remaining = math.comb(n, size)
+    if remaining <= _BATCH:
+        yield _exhaustive_members(n, size)
+        return
+    it = itertools.combinations(range(n), size)
     while remaining > 0:
         take = min(remaining, _BATCH)
         remaining -= take
@@ -127,9 +157,14 @@ def _scale_means(
     seen = 0
     for members in batches:
         vals = _information_batch(adj, members, r)
-        for k in range(r):
-            acc[k] += float(vals[k].sum())
-            acc_sq[k] += float((vals[k] * vals[k]).sum())
+        # row sums of the C-ordered (r, S) array add in the same pairwise
+        # order as a 1-D sum of each row; exhaustive cells need no squares,
+        # their stderr is 0
+        for k, total in enumerate(vals.sum(axis=1).tolist()):
+            acc[k] += total
+        if sampled:
+            for k, total in enumerate((vals * vals).sum(axis=1).tolist()):
+                acc_sq[k] += total
         seen += len(members)
     assert seen == total_count
     means = []

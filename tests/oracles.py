@@ -5,8 +5,9 @@ through networkx shortest paths, enumeration through itertools, entropies
 through math/mpmath, the lattice repair oracle enumerates recolorings
 literally, the repair witness checker applies a witness and lists the
 conflicts it leaves, and the MAC oracle keys sensors by (lane, index) and
-calls random() once per sender.  Slow and obvious beats fast and clever
-here.
+calls random() once per sender.  The reachability-kernel oracle keeps the
+kernel's earlier numpy formulation, which must agree with the production
+kernel bit for bit.  Slow and obvious beats fast and clever here.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import math
 from fractions import Fraction
 
 import networkx as nx
+import numpy as np
 
 
 # ---------------------------------------------------------------------------
@@ -69,6 +71,38 @@ def oracle_functional_complexity(node_count: int, edges, directed: bool = False)
             baseline = (r + 1 - j) / (r + 1 - node_count) * whole
             total += abs(mean - baseline)
     return total / (R - 1)
+
+
+def oracle_information_batch(adj, members, r: int, chunk: int = 256):
+    """Information per subset at scales 1..r, row k-1 for scale k, as the
+    (r, S) array the production kernel returns for an (S, j) member array.
+
+    Gathers each induced submatrix with a 2-D index and sets its diagonal,
+    so the diagonal of adj is ignored; counts the reachers of each member
+    with a float32 column sum; builds the entropy table on every call.
+    """
+    s, j = members.shape
+    p = np.arange(1, j + 1) / float(j)
+    q = 1.0 - p
+    h = -p * np.log2(p)
+    nz = q > 0.0
+    h[nz] -= q[nz] * np.log2(q[nz])
+    table = np.zeros(j + 1)
+    table[1:] = h
+    diag = np.arange(j)
+    out = np.empty((r, s))
+    for lo in range(0, s, chunk):
+        m = members[lo:lo + chunk]
+        one_hop = adj[m[:, :, None], m[:, None, :]]
+        one_hop[:, diag, diag] = 1.0
+        reach = one_hop
+        for k in range(r):
+            if k:
+                reach = np.matmul(reach, one_hop)
+                np.minimum(reach, 1.0, out=reach)
+            counts = reach.sum(axis=1).astype(np.intp)
+            out[k, lo:lo + len(m)] = table[counts].sum(axis=1)
+    return out
 
 
 # ---------------------------------------------------------------------------

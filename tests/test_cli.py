@@ -654,6 +654,7 @@ def test_worker_count_does_not_change_bytes(tmp_path):
 # Small runs of every subcommand with non-default values, in order: the
 # excess-entropy file case reads the lattice that son-run writes.  Input
 # paths are relative to the working directory so the header bytes are fixed.
+# The second correlate run keeps every cell exhaustive (ER, 10 nodes).
 PINNED_RUNS = (
     ("cfc", ("cfc", "--graph", "p6.edges", "--mode", "uniform-sample",
              "--samples", 40, "--limit", 5, "--seed", 3, "--out", "cfc.csv")),
@@ -679,6 +680,8 @@ PINNED_RUNS = (
                    "--graphs", 5, "--ring-degree", 2,
                    "--rewiring-probability", 0.3, "--samples", 30,
                    "--limit", 10, "--seed", 2, "--out", "corr.csv")),
+    ("correlate-exhaustive", ("correlate", "--graphs", 40, "--nodes", 10,
+                              "--seed", 5, "--out", "corr-er.csv")),
 )
 
 PINNED_SHA256 = {
@@ -689,6 +692,7 @@ PINNED_SHA256 = {
     "excess-entropy-files": "b95f7859eb3892cc356671e1b70d5f7d918222dd854e66e33a41308647836073",
     "abm": "1ce04dea92f55fa62cc0e65866aee7b5024677b86a17f94a5de8920b9f7dbdd7",
     "correlate": "f447ae9827bd30b4945112a18de79a1994ef368a4a70258b627e133b3a161bb8",
+    "correlate-exhaustive": "6872063c619f6a2faa58b1bac87a2be5a10f1dc6a4ad760d32c971f994cf3f40",
 }
 
 

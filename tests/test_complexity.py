@@ -20,6 +20,7 @@ from netcomplexity.complexity import MeanInformation
 
 from oracles import (
     oracle_functional_complexity,
+    oracle_information_batch,
     oracle_mean_information,
     oracle_subgraph_information,
 )
@@ -337,3 +338,50 @@ def test_kernel_values_do_not_depend_on_chunking(monkeypatch):
     for chunk in (1, 3, 255, 1000):
         monkeypatch.setattr(complexity, "_CHUNK", chunk)
         assert np.array_equal(complexity._information_batch(adj, members, 5), ref)
+
+
+@pytest.mark.parametrize("directed", [False, True])
+def test_kernel_equals_oracle_kernel(directed, monkeypatch):
+    # every subset of every size, all scales 1..j-1 in one call; the oracle
+    # sets the diagonal itself, so this also checks I|A from _dense_adjacency
+    rng = random.Random(61)
+    for n in range(3, 13):
+        if directed:
+            _, g = random_digraph(rng, n, 0.3)
+        else:
+            g = build_topology(n, [
+                e for e in itertools.combinations(range(n), 2) if rng.random() < 0.4
+            ])
+        adj = complexity._dense_adjacency(g)
+        for size in range(2, n + 1):
+            members = np.array(
+                list(itertools.combinations(range(n), size)), dtype=np.intp
+            )
+            ref = oracle_information_batch(adj, members, size - 1)
+            for chunk in (1, 3, 256):
+                monkeypatch.setattr(complexity, "_CHUNK", chunk)
+                got = complexity._information_batch(adj, members, size - 1)
+                assert np.array_equal(got, ref), (n, size, chunk)
+
+
+def test_one_batch_member_arrays_are_cached_read_only(monkeypatch):
+    monkeypatch.setattr(complexity, "_BATCH", 10)
+    complexity._exhaustive_members.cache_clear()
+    for size in range(1, 7):  # C(6, size) = 6, 15, 20, 15, 6, 1 against 10
+        batches = list(complexity._exhaustive_batches(6, size))
+        assert len(batches) == -(-math.comb(6, size) // 10)
+        rows = [tuple(row) for batch in batches for row in batch.tolist()]
+        assert rows == list(itertools.combinations(range(6), size))
+    members = next(complexity._exhaustive_batches(6, 5))
+    assert next(complexity._exhaustive_batches(6, 5)) is members
+    assert not members.flags.writeable
+    with pytest.raises(ValueError):
+        members[0, 0] = 1
+    table = complexity._entropy_table(5)
+    assert complexity._entropy_table(5) is table
+    assert not table.flags.writeable
+    adj = complexity._dense_adjacency(star(6))
+    assert np.array_equal(
+        complexity._information_batch(adj, members, 4),
+        oracle_information_batch(adj, members.copy(), 4),
+    )
