@@ -65,32 +65,50 @@ def _entropy_table(j: int) -> np.ndarray:
     return table
 
 
-def _information_batch(adj: np.ndarray, members: np.ndarray, r: int) -> np.ndarray:
-    """Information per subset at every scale 1..r for an (S, j) array of
-    member indices; row k-1 of the (r, S) result holds scale k.
+def _reach_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Product of stacked 0/1 reach matrices, re-binarized in place."""
+    out = np.matmul(a, b)
+    np.minimum(out, 1.0, out=out)
+    return out
+
+
+def _information_batch(
+    adj: np.ndarray, members: np.ndarray, r: int, first: int = 1
+) -> np.ndarray:
+    """Information per subset at scales first..r for an (S, j) array of
+    member indices; row k-first of the (r-first+1, S) result holds scale k.
 
     adj is I | A from _dense_adjacency, so the induced submatrices, gathered
     through the flat adjacency, already hold one-hop reach with self-loops.
-    Reachability within k hops is (I | A)^k over each submatrix, one float32
-    matmul per scale, re-binarized each step.  The reachers of each member
-    are the column sums, taken as one matmul with a row of ones; they are
-    integers of at most j, so float32 holds them exactly.  A member reached
-    by c nodes contributes the binary entropy of c / j, read from a table.
+    Reachability within k hops is (I | A)^k over each submatrix: one float32
+    matmul per scale past first, re-binarized each step, and (I | A)^first
+    by binary exponentiation, floor(log2 first) + popcount(first) - 1
+    products.  Every product of 0/1 matrices sums at most j ones, so float32
+    is exact and both routes give the same matrix.  The reachers of each
+    member are the column sums, taken as one matmul with a row of ones;
+    they are integers of at most j too.  A member reached by c nodes
+    contributes the binary entropy of c / j, read from a table.
     """
     s, j = members.shape
     n = adj.shape[0]
     flat = adj.ravel()
     table = _entropy_table(j)
     ones = np.ones(j, dtype=np.float32)
-    out = np.empty((r, s))
+    out = np.empty((r - first + 1, s))
     for lo in range(0, s, _CHUNK):
         m = members[lo:lo + _CHUNK]
         one_hop = flat[m[:, :, None] * n + m[:, None, :]]
-        reach = one_hop
-        for k in range(r):
+        reach, power, e = None, one_hop, first
+        while True:  # binary exponentiation, low bit first
+            if e & 1:
+                reach = power if reach is None else _reach_product(reach, power)
+            e >>= 1
+            if not e:
+                break
+            power = _reach_product(power, power)
+        for k in range(r - first + 1):
             if k:
-                reach = np.matmul(reach, one_hop)
-                np.minimum(reach, 1.0, out=reach)
+                reach = _reach_product(reach, one_hop)
             counts = np.matmul(ones, reach).astype(np.intp)  # reachers of each member
             out[k, lo:lo + len(m)] = table[counts].sum(axis=1)
     return out
@@ -128,12 +146,51 @@ def _exhaustive_batches(n: int, size: int):
 
 
 def _sampled_batches(n: int, size: int, count: int, rng):
-    pool = range(n)
+    """count sorted size-subsets of range(n) in fixed-size batches, each row
+    exactly what rng.sample(range(n), size) would return next.
+
+    The loop replays CPython's random.sample word for word on
+    rng.getrandbits, so rows and stream position match a per-draw sample
+    call.  With setsize = 21, plus 4 ** ceil(log(3 * size, 4)) when size > 5:
+    - n <= setsize, the pool method: a partial Fisher-Yates over a fresh
+      list(range(n)); for m = n, n-1, ..., n-size+1 it draws
+      j = getrandbits(m.bit_length()) until j < m, takes pool[j] and moves
+      pool[m-1] into the vacancy;
+    - otherwise, the set method: it draws j = getrandbits(n.bit_length())
+      until j < n and j is not yet in the row.
+    """
+    getrandbits = rng.getrandbits
+    setsize = 21
+    if size > 5:
+        setsize += 4 ** math.ceil(math.log(size * 3, 4))
+    use_pool = n <= setsize
+    full = list(range(n))
+    steps = [(m, m.bit_length()) for m in range(n, n - size, -1)]
+    bits = n.bit_length()
     remaining = count
     while remaining > 0:
         take = min(remaining, _BATCH)
         remaining -= take
-        chunk = _member_array((rng.sample(pool, size) for _ in range(take)), take, size)
+        flat: list[int] = []
+        append = flat.append
+        for _ in range(take):
+            if use_pool:
+                pool = full[:]
+                for m, k in steps:
+                    j = getrandbits(k)
+                    while j >= m:
+                        j = getrandbits(k)
+                    append(pool[j])
+                    pool[j] = pool[m - 1]
+            else:
+                seen: set[int] = set()
+                for _ in range(size):
+                    j = getrandbits(bits)
+                    while j >= n or j in seen:
+                        j = getrandbits(bits)
+                    seen.add(j)
+                    append(j)
+        chunk = np.array(flat, dtype=np.intp).reshape(take, size)
         chunk.sort(axis=1)
         yield chunk
 
@@ -149,15 +206,16 @@ class MeanInformation:
 
 
 def _scale_means(
-    adj: np.ndarray, batches, r: int, total_count: int, sampled: bool
+    adj: np.ndarray, batches, r: int, total_count: int, sampled: bool, first: int = 1
 ) -> list[MeanInformation]:
-    """Mean information at scales 1..r over one stream of member batches."""
-    acc = [0.0] * r
-    acc_sq = [0.0] * r
+    """Mean information at scales first..r over one stream of member batches."""
+    rows = r - first + 1
+    acc = [0.0] * rows
+    acc_sq = [0.0] * rows
     seen = 0
     for members in batches:
-        vals = _information_batch(adj, members, r)
-        # row sums of the C-ordered (r, S) array add in the same pairwise
+        vals = _information_batch(adj, members, r, first)
+        # row sums of the C-ordered (rows, S) array add in the same pairwise
         # order as a 1-D sum of each row; exhaustive cells need no squares,
         # their stderr is 0
         for k, total in enumerate(vals.sum(axis=1).tolist()):
@@ -168,7 +226,7 @@ def _scale_means(
         seen += len(members)
     assert seen == total_count
     means = []
-    for k in range(r):
+    for k in range(rows):
         if not sampled or seen < 2:
             stderr = 0.0
         else:
@@ -191,6 +249,7 @@ def mean_information(
     Exhaustive cells average every subset (stderr 0); sampled cells report
     the unbiased sample mean and its standard error.  Sample draws come from
     an independent stream per (r, size) cell derived from the policy seed.
+    The kernel evaluates scale r alone.
     """
     policy = policy or SamplingPolicy()
     n = g.node_count
@@ -201,10 +260,12 @@ def mean_information(
     adj = _dense_adjacency(g)
     if policy.resolved_mode(n, size) == "exhaustive":
         batches = _exhaustive_batches(n, size)
-        return _scale_means(adj, batches, r, math.comb(n, size), False)[-1]
-    rng = sample_stream(policy.seed, r, size)
-    batches = _sampled_batches(n, size, policy.sample_count, rng)
-    return _scale_means(adj, batches, r, policy.sample_count, True)[-1]
+        total, sampled = math.comb(n, size), False
+    else:
+        rng = sample_stream(policy.seed, r, size)
+        batches = _sampled_batches(n, size, policy.sample_count, rng)
+        total, sampled = policy.sample_count, True
+    return _scale_means(adj, batches, r, total, sampled, first=r)[0]
 
 
 # ---------------------------------------------------------------------------

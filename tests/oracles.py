@@ -7,7 +7,9 @@ literally, the repair witness checker applies a witness and lists the
 conflicts it leaves, and the MAC oracle keys sensors by (lane, index) and
 calls random() once per sender.  The reachability-kernel oracle keeps the
 kernel's earlier numpy formulation, which must agree with the production
-kernel bit for bit.  Slow and obvious beats fast and clever here.
+kernel bit for bit.  The subset-draw oracle calls random.sample once per
+subset, which the production draw loop must match row for row.  Slow and
+obvious beats fast and clever here.
 """
 
 from __future__ import annotations
@@ -103,6 +105,18 @@ def oracle_information_batch(adj, members, r: int, chunk: int = 256):
             counts = reach.sum(axis=1).astype(np.intp)
             out[k, lo:lo + len(m)] = table[counts].sum(axis=1)
     return out
+
+
+def oracle_sampled_batches(n: int, size: int, count: int, rng, batch: int = 4096):
+    """count sorted size-subsets of range(n) in batches of batch rows, one
+    rng.sample(range(n), size) call per row, as the production draw loop
+    replays it."""
+    remaining = count
+    while remaining > 0:
+        take = min(remaining, batch)
+        remaining -= take
+        rows = [sorted(rng.sample(range(n), size)) for _ in range(take)]
+        yield np.array(rows, dtype=np.intp).reshape(take, size)
 
 
 # ---------------------------------------------------------------------------

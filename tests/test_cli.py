@@ -214,6 +214,23 @@ def test_cli_import_leaves_networkx_unloaded():
     assert proc.stdout.strip() == "False"
 
 
+def test_sampled_cfc_leaves_numpy_random_unloaded(tmp_path):
+    # importing numpy.random adds about 6 MB of resident memory; the sampled
+    # cells draw from random.Random streams and must not pull it in
+    graph = write_graph(tmp_path / "p12.edges", 12, [(i, i + 1) for i in range(11)])
+    script = (
+        "import sys; from netcomplexity.cli import main; "
+        f"code = main(['cfc', '--graph', {graph!r}, '--mode', 'uniform-sample', "
+        f"'--samples', '50', '--out', {str(tmp_path / 'out.csv')!r}]); "
+        "print(code, 'numpy.random' in sys.modules)"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "0 False"
+
+
 # ---------------------------------------------------------------------------
 # cfc
 

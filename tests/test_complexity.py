@@ -22,6 +22,7 @@ from oracles import (
     oracle_functional_complexity,
     oracle_information_batch,
     oracle_mean_information,
+    oracle_sampled_batches,
     oracle_subgraph_information,
 )
 
@@ -364,6 +365,32 @@ def test_kernel_equals_oracle_kernel(directed, monkeypatch):
                 assert np.array_equal(got, ref), (n, size, chunk)
 
 
+@pytest.mark.parametrize("directed", [False, True])
+def test_kernel_from_scale_equals_oracle_rows(directed, monkeypatch):
+    # scales first..r with (I|A)^first by binary exponentiation; first = r is
+    # what a sampled cell asks for
+    rng = random.Random(67)
+    for n in range(3, 11):
+        if directed:
+            _, g = random_digraph(rng, n, 0.3)
+        else:
+            g = build_topology(n, [
+                e for e in itertools.combinations(range(n), 2) if rng.random() < 0.3
+            ])
+        adj = complexity._dense_adjacency(g)
+        for size in range(2, n + 1):
+            members = np.array(
+                list(itertools.combinations(range(n), size)), dtype=np.intp
+            )
+            ref = oracle_information_batch(adj, members, size - 1)
+            for chunk in (3, 256):
+                monkeypatch.setattr(complexity, "_CHUNK", chunk)
+                for r in range(1, size):
+                    for first in range(1, r + 1):
+                        got = complexity._information_batch(adj, members, r, first)
+                        assert np.array_equal(got, ref[first - 1:r]), (n, size, r, first)
+
+
 def test_one_batch_member_arrays_are_cached_read_only(monkeypatch):
     monkeypatch.setattr(complexity, "_BATCH", 10)
     complexity._exhaustive_members.cache_clear()
@@ -385,3 +412,62 @@ def test_one_batch_member_arrays_are_cached_read_only(monkeypatch):
         complexity._information_batch(adj, members, 4),
         oracle_information_batch(adj, members.copy(), 4),
     )
+
+
+# ---------------------------------------------------------------------------
+# sampled draws replay random.Random.sample on each cell's stream
+
+
+def draw_grid():
+    """(n, size) cells over both random.sample methods: the pool method for
+    n <= 21 at every size and for n <= 85 at sizes 6-21, the set method for
+    larger n (setsize is 21 up to size 5 and 85 up to size 21)."""
+    cells = [(n, size) for n in range(1, 22) for size in range(1, n + 1)]
+    cells += [(n, size) for n in range(22, 41) for size in range(1, 6)]
+    cells += [(n, size) for n in (85, 86, 100, 300) for size in (6, 7)]
+    cells += [(85, 21), (300, 22)]
+    return cells
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_sampled_batches_replay_random_sample(seed):
+    for n, size in draw_grid():
+        ours = random.Random(f"{seed}:{n}:{size}")
+        theirs = random.Random(f"{seed}:{n}:{size}")
+        got = list(complexity._sampled_batches(n, size, 9, ours))
+        expected = list(oracle_sampled_batches(n, size, 9, theirs))
+        assert len(got) == len(expected) == 1, (n, size)
+        assert got[0].dtype == np.intp
+        assert np.array_equal(got[0], expected[0]), (n, size)
+        # the stream is left where the per-draw sample calls leave it
+        assert ours.getstate() == theirs.getstate(), (n, size)
+
+
+@pytest.mark.parametrize("n, size", [(20, 10), (40, 5), (100, 6)])
+def test_sampled_batches_past_one_batch(n, size):
+    ours = random.Random(f"past:{n}:{size}")
+    theirs = random.Random(f"past:{n}:{size}")
+    got = list(complexity._sampled_batches(n, size, complexity._BATCH + 1, ours))
+    expected = list(oracle_sampled_batches(
+        n, size, complexity._BATCH + 1, theirs, complexity._BATCH
+    ))
+    assert [b.shape for b in got] == [(complexity._BATCH, size), (1, size)]
+    assert all(np.array_equal(a, b) for a, b in zip(got, expected, strict=True))
+    assert ours.getstate() == theirs.getstate()
+
+
+def test_set_method_cells_equal_per_draw_sampling(monkeypatch):
+    # 30 nodes at size 4 take random.sample's set method
+    rng = random.Random(71)
+    edges = [(i, i + 1) for i in range(29)]
+    edges += [e for e in itertools.combinations(range(30), 2) if rng.random() < 0.04]
+    g = build_topology(30, edges)
+    pol = SamplingPolicy(mode="uniform-sample", sample_count=300, seed=8)
+    got = [mean_information(g, 4, r, pol) for r in (1, 2, 3)]
+    monkeypatch.setattr(
+        complexity, "_sampled_batches",
+        lambda n, size, count, rng: oracle_sampled_batches(
+            n, size, count, rng, complexity._BATCH
+        ),
+    )
+    assert got == [mean_information(g, 4, r, pol) for r in (1, 2, 3)]
