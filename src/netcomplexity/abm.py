@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_left, insort
 from collections import deque
 from dataclasses import dataclass, replace
 from typing import NamedTuple
@@ -245,33 +246,45 @@ class DecisionMaker:
 
 
 class UniformStream:
-    """The values of `rng.random()`, drawn a block at a time.
+    """The transmit decisions of one persistence, drawn a block at a time.
 
     A numpy RandomState loaded with the Mersenne Twister state of `rng`
-    yields the same 53-bit uniforms as `rng.random()`, so `draw(n)` returns
-    the next n values `rng` would have returned, in order.  `rng` itself is
-    left where it was.
+    yields the same 53-bit uniforms as `rng.random()`.  Each block is
+    compared with `persistence` once, in float64 as `u < persistence` is in
+    Python, and the stream positions of the values below it are kept.
+    `starts(n)` consumes the next n uniforms and returns the offsets among
+    them that fell below `persistence`: on a copy of `rng`, that is
+    `[i for i in range(n) if rng.random() < persistence]`.  `rng` itself is
+    left where it was; `position` counts the uniforms consumed.
     """
 
     BLOCK = 4096
 
-    def __init__(self, rng: random.Random) -> None:
+    def __init__(self, rng: random.Random, persistence: float) -> None:
         key = rng.getstate()[1]
         self._source = np.random.RandomState()
         self._source.set_state(("MT19937", np.array(key[:-1], dtype=np.uint32), key[-1]))
-        self._buffer: list[float] = []
-        self._pos = 0
+        self.persistence = persistence
+        self.position = 0
+        # stream positions of the drawn values below persistence, ascending;
+        # those before hits[_next] are consumed, and _drawn values are drawn
+        self._hits: list[int] = []
+        self._next = 0
+        self._drawn = 0
 
-    def __call__(self, count: int) -> list[float]:
-        end = self._pos + count
-        if end > len(self._buffer):
-            rest = self._buffer[self._pos:]
-            fresh = self._source.random_sample(max(self.BLOCK, count - len(rest)))
-            self._buffer = rest + fresh.tolist()
-            self._pos, end = 0, count
-        out = self._buffer[self._pos:end]
-        self._pos = end
-        return out
+    def starts(self, count: int) -> list[int]:
+        start = self.position
+        end = start + count
+        if end > self._drawn:
+            fresh = self._source.random_sample(max(self.BLOCK, end - self._drawn))
+            below = np.flatnonzero(fresh < self.persistence) + self._drawn
+            self._hits = self._hits[self._next:] + below.tolist()
+            self._next = 0
+            self._drawn += len(fresh)
+        first = self._next
+        self._next = bisect_left(self._hits, end, first)
+        self.position = end
+        return [pos - start for pos in self._hits[first:self._next]]
 
 
 class MacChannel:
@@ -285,62 +298,75 @@ class MacChannel:
     the end of their message and then re-queue.  The ideal kind bypasses the
     channel entirely and delivers every pending report at once.
 
-    Sensors are integer ids.  Each slot, the eligible senders (pending and
-    not in flight) take one uniform each from `draw`, in id order; a CSMA
-    slot on a busy channel and an ideal slot take none.
+    Sensors are integer ids.  The channel owns `stream`, the UniformStream
+    of `rng` and `persistence`.  Each slot, the eligible senders (pending
+    and not in flight) take one uniform each from it, in id order, and
+    those whose uniform falls below `persistence` start; a CSMA slot on a
+    busy channel and an ideal slot take none.
     """
 
-    def __init__(self, kind: str, persistence: float = 1.0, message_duration: int = 1) -> None:
+    def __init__(
+        self, kind: str, rng: random.Random, persistence: float = 1.0,
+        message_duration: int = 1,
+    ) -> None:
         if kind not in MACS:
             raise ValueError(f"unknown mac {kind!r}")
         self.kind = kind
-        self.persistence = persistence
+        self.stream = UniformStream(rng, persistence)
         self.duration = message_duration
         self.slot = 0
         # (start slot, [(sid, state), ...]) per slot that had starters,
-        # oldest first; every message lasts `duration` slots, so at most one
-        # batch ends per slot and it is the oldest
+        # oldest first: the senders in flight.  Every message lasts
+        # `duration` slots, so at most one batch ends per slot and it is the
+        # oldest
         self.ongoing: deque = deque()
-        self.in_flight: set[int] = set()
         # a message is corrupted when a collision falls in any slot of its
         # lifetime, i.e. when the latest collision is at or after its start
         self.last_collision = -1
 
-    def round(self, pending: dict, draw) -> tuple[list, int]:
-        """Run one slot; mutates pending, returns (deliveries, collisions).
-        draw(n) returns the slot's next n uniforms in [0, 1)."""
+    def round(self, pending: dict, slots: int = 1) -> tuple[list, int]:
+        """Run `slots` consecutive slots; mutates pending, returns the
+        deliveries of all slots in order and the collisions summed."""
         if self.kind == "ideal":
             deliveries = sorted(pending.items())
             pending.clear()
-            self.slot += 1
+            self.slot += slots
             return deliveries, 0
-        slot = self.slot
+        csma = self.kind == "csma"
         ongoing = self.ongoing
-        busy = bool(ongoing)
+        starts = self.stream.starts
+        last = self.duration - 1
+        # only the channel changes pending between slots, so the eligible
+        # list is built once and kept in id order
+        in_flight = {sid for _, batch in ongoing for sid, _ in batch}
+        eligible = sorted(pending.keys() - in_flight)
+        deliveries = []
         collisions = 0
-        if not (busy and self.kind == "csma"):
-            eligible = sorted(pending.keys() - self.in_flight)
-            if eligible:
-                p = self.persistence
-                starters = [sid for sid, u in zip(eligible, draw(len(eligible))) if u < p]
-                if starters:
+        for slot in range(self.slot, self.slot + slots):
+            busy = bool(ongoing)
+            if eligible and not (busy and csma):
+                offsets = starts(len(eligible))
+                if offsets:
+                    starters = [eligible[k] for k in offsets]
+                    for k in reversed(offsets):
+                        del eligible[k]
                     ongoing.append((slot, [(sid, pending.pop(sid)) for sid in starters]))
-                    self.in_flight.update(starters)
                     if len(starters) >= 2 or busy:
                         # corrupts every message on the air
                         self.last_collision = slot
-                        collisions = 1
-        deliveries = []
-        if ongoing and ongoing[0][0] + self.duration - 1 == slot:
-            start, batch = ongoing.popleft()
-            self.in_flight.difference_update(sid for sid, _ in batch)
-            if self.last_collision >= start:
-                # retry unless the sensor queued a fresher state meanwhile
+                        collisions += 1
+            if ongoing and ongoing[0][0] + last == slot:
+                start, batch = ongoing.popleft()
+                corrupted = self.last_collision >= start
                 for sid, state in batch:
-                    pending.setdefault(sid, state)
-            else:
-                deliveries = batch
-        self.slot += 1
+                    if corrupted:
+                        # retry unless the sensor queued a fresher state meanwhile
+                        pending.setdefault(sid, state)
+                    if sid in pending:
+                        insort(eligible, sid)
+                if not corrupted:
+                    deliveries += batch
+        self.slot += slots
         return deliveries, collisions
 
 
@@ -387,11 +413,13 @@ def run_scenario(config: ScenarioConfig, check_invariants: bool = False) -> Scen
     the same seed see identical arrivals regardless of the MAC under test.
     """
     rng_world = sample_stream(config.seed, "world")
-    draw_mac = UniformStream(sample_stream(config.seed, "mac"))
     world = TrafficWorld(config.road_length, config.arrival_probability, rng_world)
     sensors = SensorField(config.road_length)
     dm = DecisionMaker(config.road_length)
-    channel = MacChannel(config.mac, config.persistence, config.message_duration)
+    channel = MacChannel(
+        config.mac, sample_stream(config.seed, "mac"), config.persistence,
+        config.message_duration,
+    )
     pending: dict = {}
     trace = []
     delivered_total = 0
@@ -402,13 +430,9 @@ def run_scenario(config: ScenarioConfig, check_invariants: bool = False) -> Scen
             world.green = fixed_phase(it, config.green_period)
         world.step()
         actual = sensors.observe(world, pending)
-        delivered = 0
-        collisions = 0
-        for _ in range(config.slots_per_iteration):
-            out, hits = channel.round(pending, draw_mac)
-            dm.apply(out)
-            delivered += len(out)
-            collisions += hits
+        out, collisions = channel.round(pending, config.slots_per_iteration)
+        dm.apply(out)
+        delivered = len(out)
         delivered_total += delivered
         collisions_total += collisions
         perceived = dm.perceived_waiting()
@@ -430,14 +454,17 @@ def run_scenario(config: ScenarioConfig, check_invariants: bool = False) -> Scen
                 )
             if len({c.ident for c in cars}) != len(cars):
                 raise AssertionError(f"duplicate car placement at iteration {it}")
+    # a statistic of no iterations or no reports is nan, not 0.0
+    nan = float("nan")
     gaps = [row.gap for row in trace]
     slots = config.iterations * config.slots_per_iteration
+    reports = sensors.reports_generated
     return ScenarioResult(
         config=config,
         trace=tuple(trace),
-        mean_gap=(sum(gaps) / len(gaps)) if gaps else 0.0,
-        delivery_ratio=delivered_total / max(1, sensors.reports_generated),
-        collision_rate=collisions_total / max(1, slots),
+        mean_gap=sum(gaps) / len(gaps) if gaps else nan,
+        delivery_ratio=delivered_total / reports if reports else nan,
+        collision_rate=collisions_total / slots if slots else nan,
         created=world.created,
         departed=world.departed,
         remaining=world.created - world.departed,
@@ -457,11 +484,14 @@ def gap_comparison(
 
     Returns per-seed means, the two grand means, and a 95% confidence
     interval on their difference treating per-seed means as independent
-    samples.  The scenario config's own mac/seed fields are overridden.
+    samples, so the seeds must be distinct.  The scenario config's own
+    mac/seed fields are overridden.
     """
     seeds = list(seeds)
     if len(seeds) < 2:
         raise ValueError("need at least two seeds to compare")
+    if len(set(seeds)) != len(seeds):
+        raise ValueError("seeds must not repeat")
     configs_a = [replace(config, mac=mac_a, seed=s) for s in seeds]
     configs_b = [replace(config, mac=mac_b, seed=s) for s in seeds]
     means_a = [r.mean_gap for r in mapper(run_scenario, configs_a)]

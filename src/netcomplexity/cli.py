@@ -22,6 +22,7 @@ import csv
 import json
 import os
 import sys
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import astuple, dataclass, fields
@@ -109,8 +110,9 @@ def _dims(value) -> str:
 
 
 def _seeds(value) -> list[int]:
-    """A list of integers, or text: '1..30' inclusive range, '3,7,9' list,
-    '5' single seed."""
+    """A list of distinct integers, or text: '1..30' inclusive range, '3,7,9'
+    list, '5' single seed.  A repeated seed would rerun one scenario and
+    count it as another sample."""
     try:
         if isinstance(value, str):
             lo, dots, hi = value.partition("..")
@@ -128,6 +130,9 @@ def _seeds(value) -> list[int]:
         raise ValueError(
             "a non-empty list of integers or text like '1..30', '3,7,9' or '5'"
         )
+    repeated = sorted(seed for seed, n in Counter(seeds).items() if n > 1)
+    if repeated:
+        raise ValueError(f"distinct integers (repeated: {', '.join(map(str, repeated))})")
     return seeds
 
 

@@ -1,6 +1,7 @@
 """Intersection simulator: traffic mechanics, sensing, MAC, perception gap."""
 
 import hashlib
+import math
 import random
 
 import pytest
@@ -280,18 +281,18 @@ def test_sensor_ids_follow_sorted_lane_order():
 
 def test_single_pending_sensor_delivers_under_both_macs():
     for kind in ("aloha", "csma"):
-        channel = MacChannel(kind)
+        channel = MacChannel(kind, random.Random(0))
         pending = {EAST0: STATIC}
-        delivered, collisions = channel.round(pending, UniformStream(random.Random(0)))
+        delivered, collisions = channel.round(pending)
         assert delivered == [(EAST0, STATIC)]
         assert collisions == 0
         assert pending == {}
 
 
 def test_two_pending_aloha_collide_and_retry():
-    channel = MacChannel("aloha", persistence=1.0, message_duration=1)
+    channel = MacChannel("aloha", random.Random(0), persistence=1.0, message_duration=1)
     pending = {EAST0: STATIC, WEST1: MOVING}
-    delivered, collisions = channel.round(pending, UniformStream(random.Random(0)))
+    delivered, collisions = channel.round(pending)
     assert delivered == []
     assert collisions == 1
     # both senders re-queued for another attempt
@@ -299,112 +300,149 @@ def test_two_pending_aloha_collide_and_retry():
 
 
 def test_csma_defers_to_ongoing_transmission():
-    channel = MacChannel("csma", persistence=1.0, message_duration=2)
-    draw = UniformStream(random.Random(0))
+    channel = MacChannel("csma", random.Random(0), persistence=1.0, message_duration=2)
     pending = {EAST0: STATIC}
-    delivered, collisions = channel.round(pending, draw)
+    delivered, collisions = channel.round(pending)
     assert delivered == [] and collisions == 0  # in flight for one more slot
     pending[WEST1] = MOVING
-    delivered, collisions = channel.round(pending, draw)
+    delivered, collisions = channel.round(pending)
     assert delivered == [(EAST0, STATIC)]
     assert collisions == 0
     assert pending == {WEST1: MOVING}  # deferred, not lost
-    delivered, collisions = channel.round(pending, draw)
+    delivered, collisions = channel.round(pending)
     assert delivered == [] and collisions == 0
-    delivered, collisions = channel.round(pending, draw)
+    delivered, collisions = channel.round(pending)
     assert delivered == [(WEST1, MOVING)]
 
 
 def test_csma_simultaneous_starters_collide():
-    channel = MacChannel("csma", persistence=1.0, message_duration=2)
+    channel = MacChannel("csma", random.Random(0), persistence=1.0, message_duration=2)
     pending = {EAST0: STATIC, WEST1: MOVING}
-    delivered, collisions = channel.round(pending, UniformStream(random.Random(0)))
+    delivered, collisions = channel.round(pending)
     assert delivered == [] and collisions == 1
-    delivered, collisions = channel.round(pending, UniformStream(random.Random(0)))
+    delivered, collisions = channel.round(pending)
     assert delivered == []  # corrupted messages never deliver
     assert pending == {EAST0: STATIC, WEST1: MOVING}
 
 
 def test_aloha_tramples_ongoing_transmission():
-    channel = MacChannel("aloha", persistence=1.0, message_duration=2)
-    draw = UniformStream(random.Random(0))
+    channel = MacChannel("aloha", random.Random(0), persistence=1.0, message_duration=2)
     pending = {EAST0: STATIC}
-    channel.round(pending, draw)  # starts, occupies two slots
+    channel.round(pending)  # starts, occupies two slots
     pending[WEST1] = MOVING
-    delivered, collisions = channel.round(pending, draw)  # no sensing: overlap
+    delivered, collisions = channel.round(pending)  # no sensing: overlap
     assert delivered == [] and collisions == 1
     assert pending == {EAST0: STATIC}  # first sender re-queued
     # with persistence 1 the re-queued sender restarts at once and collides
     # with the still-occupying second message: the livelock regime
-    delivered, collisions = channel.round(pending, draw)
+    delivered, collisions = channel.round(pending)
     assert delivered == [] and collisions == 1
     assert pending == {WEST1: MOVING}
 
 
 def test_corrupted_retry_keeps_fresher_pending_state():
-    channel = MacChannel("aloha", persistence=1.0, message_duration=2)
-    draw = UniformStream(random.Random(0))
+    channel = MacChannel("aloha", random.Random(0), persistence=1.0, message_duration=2)
     pending = {EAST0: STATIC}
-    channel.round(pending, draw)
+    channel.round(pending)
     pending[EAST0] = INACTIVE  # state changed while in flight
     pending[WEST1] = MOVING  # second sender corrupts the channel
-    channel.round(pending, draw)
+    channel.round(pending)
     assert pending[EAST0] == INACTIVE  # retry does not clobber it
 
 
 def test_ideal_channel_delivers_everything_at_once():
-    channel = MacChannel("ideal")
+    channel = MacChannel("ideal", random.Random(0))
     pending = {EAST0: STATIC, SOUTH3: MOVING}
-    delivered, collisions = channel.round(pending, UniformStream(random.Random(0)))
+    delivered, collisions = channel.round(pending)
     assert delivered == sorted(delivered)
     assert len(delivered) == 2 and collisions == 0 and pending == {}
 
 
+def advanced(seed, count):
+    """A random.Random(seed) after `count` calls of random()."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        rng.random()
+    return rng
+
+
 def test_uniform_stream_replays_random_across_refills():
     block = UniformStream.BLOCK
-    reference = random.Random("uniform-stream")
-    source = random.Random("uniform-stream")
-    state = source.getstate()
-    draw = UniformStream(source)
-    # empty and single requests, one that crosses a refill, and two larger
-    # than a block, the second of which empties the buffer exactly
-    for count in (0, 1, block - 100, 0, 200, 1, block + 900, 2 * block + 5, 1, 0):
-        assert draw(count) == [reference.random() for _ in range(count)]
-    assert source.getstate() == state  # the source stream is not advanced
+    for persistence in (0.05, 0.3, 1.0):
+        reference = random.Random("uniform-stream")
+        source = random.Random("uniform-stream")
+        state = source.getstate()
+        stream = UniformStream(source, persistence)
+        # empty and single requests, one that crosses a refill, and two
+        # larger than a block, the second of which ends a block exactly
+        consumed = 0
+        for count in (0, 1, block - 100, 0, 200, 1, block + 900, 2 * block + 5, 1, 0):
+            want = [i for i in range(count) if reference.random() < persistence]
+            assert stream.starts(count) == want
+            consumed += count
+            assert stream.position == consumed
+        assert source.getstate() == state  # the source stream is not advanced
+
+
+def check_against_oracle(tag, kind, duration, persistence, slots, calls):
+    """Drive MacChannel.round(pending, slots) and OracleMacChannel.round,
+    called slot by slot, through `calls` calls with bursts and lulls of
+    fresh reports between calls only, as SensorField.observe queues them
+    once per iteration.  After every call both must have delivered the same
+    reports in order, counted the same collisions, left the same pending
+    reports and consumed the same number of uniforms."""
+    length = 5
+    names = sorted((lane, i) for lane in LANES for i in range(length))
+    schedule = random.Random(tag + ":schedule")
+    oracle, rng = OracleMacChannel(kind, persistence, duration), random.Random(tag)
+    channel = MacChannel(kind, random.Random(tag), persistence, duration)
+    oracle_pending, pending = {}, {}
+    events = 0
+    for _ in range(calls):
+        # latest state wins
+        for _ in range(schedule.choice((0, 0, 1, 2, 6))):
+            sid = schedule.randrange(len(names))
+            state = schedule.choice((INACTIVE, MOVING, STATIC))
+            oracle_pending[names[sid]] = state
+            pending[sid] = state
+        want_out, want_hits = [], 0
+        for _ in range(slots):
+            out, hits = oracle.round(oracle_pending, rng)
+            want_out += out
+            want_hits += hits
+        out, hits = channel.round(pending, slots)
+        assert [(names[sid], state) for sid, state in out] == want_out
+        assert hits == want_hits
+        assert {names[sid]: state for sid, state in pending.items()} == oracle_pending
+        # by stream position, not by the next value: at persistence 1 every
+        # value is a start
+        assert advanced(tag, channel.stream.position).getstate() == rng.getstate()
+        events += len(out) + hits
+    assert events > 0
 
 
 @pytest.mark.parametrize("kind", MACS)
 @pytest.mark.parametrize("duration", (1, 2, 3))
 @pytest.mark.parametrize("persistence", (0.05, 0.3, 1.0))
 def test_channel_matches_tuple_key_oracle(kind, duration, persistence):
-    length = 5
-    names = sorted((lane, i) for lane in LANES for i in range(length))
     tag = f"mac-oracle:{kind}:{duration}:{persistence}"
-    schedule = random.Random(tag + ":schedule")
-    oracle, rng = OracleMacChannel(kind, persistence, duration), random.Random(tag)
-    channel, draw = MacChannel(kind, persistence, duration), UniformStream(random.Random(tag))
-    oracle_pending, pending = {}, {}
-    events = 0
-    for _ in range(300):
-        # bursts and lulls of fresh reports, latest state wins
-        for _ in range(schedule.choice((0, 0, 1, 2, 6))):
-            sid = schedule.randrange(len(names))
-            state = schedule.choice((INACTIVE, MOVING, STATIC))
-            oracle_pending[names[sid]] = state
-            pending[sid] = state
-        want_out, want_hits = oracle.round(oracle_pending, rng)
-        out, hits = channel.round(pending, draw)
-        assert [(names[sid], state) for sid, state in out] == want_out
-        assert hits == want_hits
-        assert {names[sid]: state for sid, state in pending.items()} == oracle_pending
-        events += len(out) + hits
-    assert events > 0
-    assert draw(1) == [rng.random()]  # both consumed the same number of draws
+    check_against_oracle(tag, kind, duration, persistence, slots=1, calls=300)
+
+
+@pytest.mark.parametrize("kind", MACS)
+@pytest.mark.parametrize("duration", (1, 2, 3))
+@pytest.mark.parametrize("persistence", (0.05, 0.3, 1.0))
+@pytest.mark.parametrize("slots", (1, 3, 10))
+def test_multi_slot_round_matches_oracle_slot_by_slot(kind, duration, persistence, slots):
+    # within a call only the channel changes pending, so the eligible list
+    # it keeps between slots must take back every sender whose batch ends
+    tag = f"mac-slots:{kind}:{duration}:{persistence}:{slots}"
+    check_against_oracle(tag, kind, duration, persistence, slots, calls=60)
 
 
 def test_unknown_mac_rejected():
     with pytest.raises(ValueError):
-        MacChannel("token-ring")
+        MacChannel("token-ring", random.Random(0))
 
 
 # ---------------------------------------------------------------------------
@@ -495,3 +533,19 @@ def test_long_runs_pinned(mac, seed):
 def test_gap_comparison_needs_two_seeds():
     with pytest.raises(ValueError):
         gap_comparison("aloha", "csma", [1], ScenarioConfig(iterations=10))
+
+
+def test_gap_comparison_rejects_repeated_seeds():
+    # a repeated seed reruns one scenario, which would narrow the interval
+    with pytest.raises(ValueError, match="repeat"):
+        gap_comparison("aloha", "csma", [1, 2, 1], ScenarioConfig(iterations=10))
+
+
+def test_empty_denominators_give_nan():
+    res = run_scenario(ScenarioConfig(iterations=0))
+    assert math.isnan(res.mean_gap) and math.isnan(res.collision_rate)
+    assert math.isnan(res.delivery_ratio)
+    # no arrivals, so no reports: the delivery ratio is undefined
+    res = run_scenario(ScenarioConfig(iterations=20, arrival_probability=0.0))
+    assert res.reports_generated == 0 and math.isnan(res.delivery_ratio)
+    assert res.mean_gap == 0.0 and res.collision_rate == 0.0

@@ -159,6 +159,10 @@ BAD_INPUT = (
     (("abm", "--message-duration", 0), None, "message_duration must be >= 1, got 0"),
     (("abm", "--slots-per-iteration", 0), None,
      "slots_per_iteration must be >= 1, got 0"),
+    (("abm", "--iterations", 5, "--seeds", "1,1"), None,
+     "seeds must be distinct integers (repeated: 1), got '1,1'"),
+    (("abm", "--iterations", 5), {"seeds": [4, 2, 4, 2]},
+     "seeds must be distinct integers (repeated: 2, 4)"),
 )
 
 
@@ -473,6 +477,11 @@ def test_abm_zero_iterations_header_only(tmp_path):
          "delivered", "collisions"]
     ]
     assert "# summary:" in summary
+    # statistics over no iterations and no reports are nan, not 0.0
+    assert summary[1].startswith(
+        "# seed 0: mean_gap=nan delivery_ratio=nan collision_rate=nan "
+    )
+    assert summary[2].startswith("# aggregate: seeds=1 mean_gap=nan ")
 
 
 def test_abm_ideal_channel_gap_all_zero(tmp_path):
