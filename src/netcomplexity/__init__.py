@@ -63,7 +63,6 @@ from .harness import (
     MetricCorrelation,
     ReportRow,
     correlation_report,
-    default_ensemble,
     generate_ensemble,
     pearson,
 )
@@ -119,7 +118,6 @@ __all__ = [
     "MetricCorrelation",
     "ReportRow",
     "correlation_report",
-    "default_ensemble",
     "generate_ensemble",
     "pearson",
 ]

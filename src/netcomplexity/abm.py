@@ -478,7 +478,6 @@ def gap_comparison(
     mac_b: str,
     seeds,
     config: ScenarioConfig,
-    mapper=map,
 ) -> dict:
     """Mean-gap separation between two MACs over a common seed list.
 
@@ -492,10 +491,8 @@ def gap_comparison(
         raise ValueError("need at least two seeds to compare")
     if len(set(seeds)) != len(seeds):
         raise ValueError("seeds must not repeat")
-    configs_a = [replace(config, mac=mac_a, seed=s) for s in seeds]
-    configs_b = [replace(config, mac=mac_b, seed=s) for s in seeds]
-    means_a = [r.mean_gap for r in mapper(run_scenario, configs_a)]
-    means_b = [r.mean_gap for r in mapper(run_scenario, configs_b)]
+    means_a = [run_scenario(replace(config, mac=mac_a, seed=s)).mean_gap for s in seeds]
+    means_b = [run_scenario(replace(config, mac=mac_b, seed=s)).mean_gap for s in seeds]
     mean_a, stderr_a = mean_and_stderr(means_a)
     mean_b, stderr_b = mean_and_stderr(means_b)
     diff = mean_a - mean_b

@@ -35,7 +35,6 @@ from .abm import LIGHT_POLICIES, MACS, PerceptionRecord, ScenarioConfig, run_sce
 from .complexity import ScaleCell, functional_complexity
 from .entropy import estimate_excess_entropy
 from .graph import (
-    SAMPLING_MODES,
     InputFormatError,
     SamplingPolicy,
     mean_and_stderr,
@@ -63,6 +62,7 @@ from .lattice import (
 )
 
 GENERATORS = ("son", "iid")
+SAMPLING_MODES = ("exhaustive", "uniform-sample")
 
 
 # ---------------------------------------------------------------------------
@@ -222,7 +222,8 @@ def _with_shared(*params: Param) -> tuple[Param, ...]:
 _MAX_SWEEPS = Param("max_sweeps", _integer, 10_000, minimum=0)
 _NEIGHBORHOOD = Param("neighborhood", _text, "moore", choices=tuple(NEIGHBORHOODS))
 _SAMPLING = (
-    Param("mode", _text, "exhaustive", choices=SAMPLING_MODES),
+    Param("mode", _text, "exhaustive", "uniform-sample is --limit 1",
+          choices=SAMPLING_MODES),
     Param("samples", _integer, 10_000, "subset draws per sampled size", minimum=2),
     Param("limit", _integer, 100_000,
           "max subsets per size before sampling kicks in", minimum=1),
@@ -409,9 +410,8 @@ def _load_config(path: str | None) -> dict:
 
 def _policy(params: dict) -> SamplingPolicy:
     return SamplingPolicy(
-        mode=params["mode"],
         sample_count=params["samples"],
-        exhaustive_limit=params["limit"],
+        exhaustive_limit=1 if params["mode"] == "uniform-sample" else params["limit"],
         seed=params["seed"],
     )
 
@@ -736,10 +736,7 @@ def main(argv=None) -> int:
         return 0 if exc.code in (0, None) else 1
     try:
         return args.func(args)
-    except InputFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (InputFormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except ValueError as exc:

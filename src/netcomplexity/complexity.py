@@ -227,7 +227,7 @@ def _scale_means(
     assert seen == total_count
     means = []
     for k in range(rows):
-        if not sampled or seen < 2:
+        if not sampled:
             stderr = 0.0
         else:
             var = max(acc_sq[k] - acc[k] * acc[k] / seen, 0.0) / (seen - 1)
@@ -258,13 +258,13 @@ def mean_information(
     if not (1 + r <= size <= n):
         raise ValueError(f"size {size} outside {1 + r}..{n} for scale r={r}")
     adj = _dense_adjacency(g)
-    if policy.resolved_mode(n, size) == "exhaustive":
-        batches = _exhaustive_batches(n, size)
-        total, sampled = math.comb(n, size), False
-    else:
+    if policy.sampled(n, size):
         rng = sample_stream(policy.seed, r, size)
         batches = _sampled_batches(n, size, policy.sample_count, rng)
         total, sampled = policy.sample_count, True
+    else:
+        batches = _exhaustive_batches(n, size)
+        total, sampled = math.comb(n, size), False
     return _scale_means(adj, batches, r, total, sampled, first=r)[0]
 
 
@@ -329,13 +329,13 @@ def functional_complexity(
     means: dict[tuple[int, int], MeanInformation] = {}
     for size in range(2, n + 1):
         top = min(r_max - 1, size - 1)
-        if policy.resolved_mode(n, size) == "exhaustive":
+        if policy.sampled(n, size):
+            for r in range(1, top + 1):
+                means[r, size] = mean_information(g, size, r, policy)
+        else:
             batches = _exhaustive_batches(n, size)
             row = _scale_means(adj, batches, top, math.comb(n, size), False)
             means.update(((r, size), mi) for r, mi in enumerate(row, 1))
-        else:
-            for r in range(1, top + 1):
-                means[r, size] = mean_information(g, size, r, policy)
     cells: list[ScaleCell] = []
     total = 0.0
     for r in range(1, r_max):

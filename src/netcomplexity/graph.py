@@ -166,42 +166,30 @@ def clustering_coefficient(g: FunctionalTopology) -> float:
 # subset sampling policy
 
 
-SAMPLING_MODES = ("exhaustive", "uniform-sample")
-
-
 @dataclass(frozen=True)
 class SamplingPolicy:
     """How subgraphs of each size are visited.
 
-    mode "exhaustive" enumerates every size-j subset, except that sizes where
-    C(N, j) exceeds exhaustive_limit fall back to uniform sampling with
-    replacement (sample_count draws).  mode "uniform-sample" always samples,
-    except the single full-size subset which is exact by construction.
+    Every size-j subset is enumerated, except that sizes where C(N, j)
+    exceeds exhaustive_limit are sampled instead (sample_count draws, each
+    a uniform size-j subset).  exhaustive_limit=1 samples every size below
+    N; the single full-size subset, C(N, N) = 1, is always exact.
     """
 
-    mode: str = "exhaustive"
     sample_count: int = 10_000
     exhaustive_limit: int = 100_000
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.mode not in SAMPLING_MODES:
-            raise ValueError(f"unknown sampling mode {self.mode!r}")
         # one draw has no standard error, so it could only print as exact
         if self.sample_count < 2:
             raise ValueError("sample_count must be >= 2")
         if self.exhaustive_limit < 1:
             raise ValueError("exhaustive_limit must be >= 1")
 
-    def resolved_mode(self, node_count: int, size: int) -> str:
-        """Effective strategy for one subgraph size."""
-        if size == node_count:
-            return "exhaustive"  # single subset, always exact
-        if self.mode == "uniform-sample":
-            return "uniform-sample"
-        if math.comb(node_count, size) > self.exhaustive_limit:
-            return "uniform-sample"
-        return "exhaustive"
+    def sampled(self, node_count: int, size: int) -> bool:
+        """Whether the size-subsets of node_count nodes are sampled."""
+        return math.comb(node_count, size) > self.exhaustive_limit
 
 
 def sample_stream(seed: int, *parts: object) -> random.Random:
@@ -216,11 +204,12 @@ def sample_stream(seed: int, *parts: object) -> random.Random:
 
 def mean_and_stderr(values: Sequence[float]) -> tuple[float, float]:
     """Sample mean and its standard error.  The mean is nan without values;
-    the error is 0.0 below two values."""
+    the error is nan below two values, since one value gives no estimate
+    of the spread."""
     n = len(values)
     mean = sum(values) / n if n else float("nan")
     if n < 2:
-        return mean, 0.0
+        return mean, float("nan")
     var = sum((v - mean) ** 2 for v in values) / (n - 1)
     return mean, math.sqrt(var / n)
 

@@ -18,7 +18,13 @@ from .graph import (
     sample_stream,
 )
 
-ENSEMBLE_KINDS = ("erdos-renyi", "watts-strogatz", "barabasi-albert")
+# the EnsembleSpec fields each kind uses
+_KIND_FIELDS = {
+    "erdos-renyi": ("edge_probability",),
+    "watts-strogatz": ("ring_degree", "rewiring_probability"),
+    "barabasi-albert": ("attachment_count",),
+}
+ENSEMBLE_KINDS = tuple(_KIND_FIELDS)
 
 # attempts per graph before declaring the connectivity filter unsatisfiable
 _FILTER_RETRIES = 200
@@ -50,28 +56,24 @@ class EnsembleSpec:
             raise ValueError("node_count must be >= 2")
         if self.graph_count < 0:
             raise ValueError("graph_count must be >= 0")
+        own = _KIND_FIELDS[self.kind]
+        missing = [name for name in own if getattr(self, name) is None]
+        if missing:
+            raise ValueError(f"{self.kind} requires {', '.join(missing)}")
+        for names in _KIND_FIELDS.values():
+            for name in names:
+                if name not in own and getattr(self, name) is not None:
+                    raise ValueError(f"{name} must be unset for {self.kind}")
         if self.kind == "erdos-renyi":
-            self._require(edge_probability=self.edge_probability)
             if not 0.0 <= self.edge_probability <= 1.0:
                 raise ValueError("edge_probability must lie in [0, 1]")
         elif self.kind == "watts-strogatz":
-            self._require(
-                ring_degree=self.ring_degree,
-                rewiring_probability=self.rewiring_probability,
-            )
             if not 0.0 <= self.rewiring_probability <= 1.0:
                 raise ValueError("rewiring_probability must lie in [0, 1]")
             if not 0 < self.ring_degree < self.node_count:
                 raise ValueError("ring_degree must lie in 1..node_count-1")
-        else:
-            self._require(attachment_count=self.attachment_count)
-            if not 0 < self.attachment_count < self.node_count:
-                raise ValueError("attachment_count must lie in 1..node_count-1")
-
-    def _require(self, **params) -> None:
-        missing = [name for name, value in params.items() if value is None]
-        if missing:
-            raise ValueError(f"{self.kind} requires {', '.join(missing)}")
+        elif not 0 < self.attachment_count < self.node_count:
+            raise ValueError("attachment_count must lie in 1..node_count-1")
 
 
 def _sample_graph(spec: EnsembleSpec, seed: int):
@@ -212,17 +214,4 @@ def correlation_report(
             flags.append(f"|rho(complexity, {field})| = {abs(rho):.3f} >= 0.5")
     return CorrelationReport(
         rows=rows, correlations=tuple(correlations), flags=tuple(flags),
-    )
-
-
-def default_ensemble(graph_count: int = 200, seed: int = 11) -> EnsembleSpec:
-    """Reference ensemble for the correlation study: connected ER graphs,
-    ten nodes, edge probability 0.35."""
-    return EnsembleSpec(
-        kind="erdos-renyi",
-        node_count=10,
-        graph_count=graph_count,
-        seed=seed,
-        connected_only=True,
-        edge_probability=0.35,
     )

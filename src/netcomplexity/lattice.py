@@ -245,10 +245,11 @@ def repair_distance(
     pair must have an endpoint changed, and the clamped cell never changes),
     so the first depth that admits a repair is the exact minimum.
 
-    A cell is free when it is neither clamped nor already changed.  The
-    admissible bound is a vertex cover of the current conflicts over free
-    cells only: a node with a conflict that has no free endpoint is pruned
-    at once, and each free endpoint of a conflict counts as one change
+    A cell is free when it is neither clamped nor already changed.  A
+    change never takes a channel that a clamped or changed neighbor holds,
+    so no conflict joins two such cells: every conflict has one free
+    endpoint.  The admissible bound is a vertex cover of the current
+    conflicts over free cells: each free endpoint counts as one change
     still to come.  Lookahead: when the free endpoints are exactly as many
     as the changes left, they are the only cells that change below the
     node, so the node is pruned when the neighbors of one of them outside
@@ -279,16 +280,14 @@ def repair_distance(
     def dfs(depth_left: int) -> bool:
         # the start is conflict-free, so every conflict touches a fixed cell,
         # one whose channel differs from the start: the clamped one or a
-        # changed one.  A fixed cell never changes again, so a conflict of two
-        # fixed cells cannot be repaired below this node, and any other
-        # conflict forces its one free endpoint to change.
+        # changed one.  No change takes a channel a fixed neighbor holds (see
+        # held below), so no conflict joins two fixed cells, and each conflict
+        # forces its one free endpoint to change.
         free_end: dict[tuple[int, int], int] = {}
         for i in (clamped, *changed):
             own = grid[i]
             for j in nbrs[i]:
                 if grid[j] == own:
-                    if j == clamped or j in changed:
-                        return False
                     free_end[(i, j) if i < j else (j, i)] = j
         if not free_end:
             return True

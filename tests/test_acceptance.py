@@ -15,13 +15,13 @@ import pytest
 
 from netcomplexity import (
     ChannelLattice,
+    EnsembleSpec,
     SamplingPolicy,
     ScenarioConfig,
     build_topology,
     centralized_allocate,
     conflict_count,
     correlation_report,
-    default_ensemble,
     empirical_entropy,
     estimate_excess_entropy,
     functional_complexity,
@@ -94,7 +94,7 @@ def test_criterion_03_sampling_consistency():
         g = seeded_connected_graph("acceptance-sampling", i, 10, 10, 0.35, 0.35)
         exact = functional_complexity(g).complexity
         prof = functional_complexity(
-            g, policy=SamplingPolicy(mode="uniform-sample", sample_count=10_000,
+            g, policy=SamplingPolicy(sample_count=10_000, exhaustive_limit=1,
                                      seed=i),
         )
         band = 3.0 * prof.pooled_standard_error
@@ -108,8 +108,11 @@ def test_criterion_03_sampling_consistency():
 
 def test_criterion_04_correlation_report_soft_check():
     t0 = time.perf_counter()
-    first = correlation_report(default_ensemble())
-    second = correlation_report(default_ensemble())
+    # the defaults of `correlate`: 200 connected ER(10, 0.35) graphs, seed 11
+    spec = EnsembleSpec(kind="erdos-renyi", node_count=10, graph_count=200,
+                        seed=11, connected_only=True, edge_probability=0.35)
+    first = correlation_report(spec)
+    second = correlation_report(spec)
     elapsed = time.perf_counter() - t0
     deterministic = first == second
     rhos = {c.metric: c.rho for c in first.correlations}

@@ -91,6 +91,13 @@ def test_malformed_config_file_is_parse_error(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_config_root_must_be_an_object(tmp_path, capsys):
+    cfg = tmp_path / "list.json"
+    cfg.write_text("[1, 2]", encoding="utf-8")
+    assert run_cli("cfc", "--config", cfg) == 1
+    assert "config root must be a JSON object" in capsys.readouterr().err
+
+
 def test_unknown_config_key_is_config_error(tmp_path, capsys):
     cfg = tmp_path / "bad.json"
     cfg.write_text('{"graphs": 10}', encoding="utf-8")
@@ -163,6 +170,11 @@ BAD_INPUT = (
      "seeds must be distinct integers (repeated: 1), got '1,1'"),
     (("abm", "--iterations", 5), {"seeds": [4, 2, 4, 2]},
      "seeds must be distinct integers (repeated: 2, 4)"),
+    (("correlate", "--kind", "watts-strogatz", "--ring-degree", 2,
+      "--rewiring-probability", 0.3, "--edge-probability", 0.9), None,
+     "edge_probability must be unset for watts-strogatz"),
+    (("correlate", "--kind", "barabasi-albert", "--attachment-count", 2),
+     {"ring_degree": 4}, "ring_degree must be unset for barabasi-albert"),
 )
 
 
@@ -286,6 +298,22 @@ def test_cfc_malformed_file_exits_one(tmp_path, capsys):
     bad.write_text("0 1\n", encoding="utf-8")
     assert run_cli("cfc", "--graph", bad) == 1
     capsys.readouterr()
+
+
+def test_cfc_uniform_sample_mode_is_limit_one(tmp_path):
+    graph = write_graph(tmp_path / "p8.edges", 8, [(i, i + 1) for i in range(7)])
+    bodies = []
+    for flags in (("--mode", "uniform-sample"), ("--limit", 1)):
+        out = tmp_path / "out.csv"
+        assert run_cli("cfc", "--graph", graph, *flags, "--samples", 50,
+                       "--seed", 4, "--out", out) == 0
+        _, rows, summary = parse_output(out)
+        bodies.append((rows, summary))
+    assert bodies[0] == bodies[1]
+    # every size below N is sampled, size N is exact
+    assert {(row[1], row[-1]) for row in bodies[0][0][1:]} == {
+        *((str(j), "True") for j in range(2, 8)), ("8", "False"),
+    }
 
 
 def test_cfc_flag_overrides_config(tmp_path):
@@ -450,6 +478,31 @@ def test_son_run_output_feeds_excess_entropy(tmp_path):
     assert float(summary_value(summary, "excess_entropy")) > 0.5
 
 
+def test_excess_entropy_son_generator_not_converging_exits_two(capsys):
+    assert run_cli(
+        "excess-entropy", "--generate", "son", "--dims", "4x4", "--channels", 1,
+        "--max-sweeps", 1, "--mmax", 2,
+    ) == 2
+    assert "error: generator instance 0 did not converge" in capsys.readouterr().err
+
+
+def test_son_run_centralized_reports_no_sweeps(tmp_path):
+    out = tmp_path / "c.lat"
+    assert run_cli("son-run", "--allocator", "centralized", "--out", out) == 0
+    lines = out.read_text(encoding="utf-8").splitlines()
+    for line in ("# converged: True", "# sweeps: 0", "# conflicts: 0"):
+        assert line in lines
+
+
+def test_son_run_warns_when_not_converged(tmp_path, capsys):
+    out = tmp_path / "s.lat"
+    assert run_cli("son-run", "--dims", "4x4", "--channels", 1,
+                   "--max-sweeps", 2, "--out", out) == 0
+    assert "warning: allocation still has" in capsys.readouterr().err
+    lines = out.read_text(encoding="utf-8").splitlines()
+    assert "# converged: False" in lines and "# sweeps: 2" in lines
+
+
 def test_son_run_requires_out(capsys):
     assert run_cli("son-run", "--dims", "4x4", "--channels", 5) == 1
     capsys.readouterr()
@@ -482,6 +535,15 @@ def test_abm_zero_iterations_header_only(tmp_path):
         "# seed 0: mean_gap=nan delivery_ratio=nan collision_rate=nan "
     )
     assert summary[2].startswith("# aggregate: seeds=1 mean_gap=nan ")
+
+
+def test_abm_one_seed_prints_no_standard_error(tmp_path):
+    out = tmp_path / "out.csv"
+    assert run_cli("abm", "--iterations", 30, "--seed", 3, "--out", out) == 0
+    _, _, summary = parse_output(out)
+    assert summary[-1].startswith("# aggregate: seeds=1 mean_gap=")
+    assert summary[-1].endswith(" stderr=nan")
+    assert "mean_gap=nan" not in summary[-1]
 
 
 def test_abm_ideal_channel_gap_all_zero(tmp_path):
@@ -578,6 +640,22 @@ def test_correlate_emits_three_rho_footer_rows(tmp_path):
     for line in footer:
         assert -1.0 <= float(line[1]) <= 1.0
     assert len(rows) == 1 + 8 + 3
+
+
+def test_correlate_default_header_records_the_reference_ensemble(tmp_path):
+    # criterion 04 of test_acceptance.py restates these defaults
+    out = tmp_path / "out.csv"
+    assert run_cli("correlate", "--out", out) == 0
+    header, rows, _ = parse_output(out)
+    params = json.loads(header[2][len("# config: "):])
+    assert {key: params[key] for key in (
+        "kind", "nodes", "graphs", "seed", "edge_probability", "connected_only",
+    )} == {
+        "kind": "erdos-renyi", "nodes": 10, "graphs": 200, "seed": 11,
+        "edge_probability": 0.35, "connected_only": True,
+    }
+    assert header[3] == "# seed: 11"
+    assert len(rows) == 1 + 200 + 3
 
 
 def test_correlate_single_graph_exits_two(capsys):

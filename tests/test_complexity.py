@@ -222,7 +222,7 @@ def test_isomorphism_invariance():
 
 def test_sampled_estimate_is_deterministic():
     g = path(12)
-    pol = SamplingPolicy(mode="uniform-sample", sample_count=300, seed=17)
+    pol = SamplingPolicy(sample_count=300, exhaustive_limit=1, seed=17)
     a = mean_information(g, 6, 1, pol)
     b = mean_information(g, 6, 1, pol)
     assert a == b
@@ -239,7 +239,7 @@ def test_sampled_close_to_exhaustive():
         if is_connected(g):
             break
     exact = mean_information(g, 5, 1)
-    pol = SamplingPolicy(mode="uniform-sample", sample_count=4000, seed=2)
+    pol = SamplingPolicy(sample_count=4000, exhaustive_limit=1, seed=2)
     est = mean_information(g, 5, 1, pol)
     assert est.stderr > 0.0
     assert abs(est.value - exact.value) < 4 * est.stderr
@@ -462,7 +462,7 @@ def test_set_method_cells_equal_per_draw_sampling(monkeypatch):
     edges = [(i, i + 1) for i in range(29)]
     edges += [e for e in itertools.combinations(range(30), 2) if rng.random() < 0.04]
     g = build_topology(30, edges)
-    pol = SamplingPolicy(mode="uniform-sample", sample_count=300, seed=8)
+    pol = SamplingPolicy(sample_count=300, exhaustive_limit=1, seed=8)
     got = [mean_information(g, 4, r, pol) for r in (1, 2, 3)]
     monkeypatch.setattr(
         complexity, "_sampled_batches",

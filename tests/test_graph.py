@@ -22,6 +22,7 @@ from netcomplexity import (
     write_edge_list,
 )
 from netcomplexity import graph as graph_module
+from netcomplexity.graph import mean_and_stderr
 from netcomplexity.complexity import _exhaustive_batches, _sampled_batches
 
 from oracles import oracle_subgraph_information
@@ -213,7 +214,7 @@ def test_enumerate_rejects_bad_size():
 
 def test_sampling_reproducible():
     g = path(20)
-    pol = SamplingPolicy(mode="uniform-sample", sample_count=500, seed=7)
+    pol = SamplingPolicy(sample_count=500, exhaustive_limit=1, seed=7)
     a = mean_information(g, 10, 1, pol)
     assert a == mean_information(g, 10, 1, pol)
     assert a.sampled and a.subset_count == 500
@@ -229,7 +230,7 @@ def test_sampling_seed_changes_stream():
     g = path(20)
     a, b = (
         mean_information(g, 10, 1, SamplingPolicy(
-            mode="uniform-sample", sample_count=50, seed=seed))
+            sample_count=50, exhaustive_limit=1, seed=seed))
         for seed in (1, 2)
     )
     assert a.value != b.value
@@ -238,18 +239,30 @@ def test_sampling_seed_changes_stream():
 def test_policy_resolves_switch_at_limit():
     pol = SamplingPolicy(exhaustive_limit=100)
     # C(10,2) = 45 stays exhaustive, C(10,3) = 120 crosses the limit
-    assert pol.resolved_mode(10, 2) == "exhaustive"
-    assert pol.resolved_mode(10, 3) == "uniform-sample"
+    assert not pol.sampled(10, 2)
+    assert pol.sampled(10, 3)
 
 
 def test_policy_full_size_always_exhaustive():
-    pol = SamplingPolicy(mode="uniform-sample")
-    assert pol.resolved_mode(12, 12) == "exhaustive"
+    # at the lowest limit every size below N is sampled, and size N never
+    pol = SamplingPolicy(exhaustive_limit=1)
+    for n in range(2, 31):
+        for j in range(1, n + 1):
+            assert pol.sampled(n, j) == (j < n)
+
+
+def test_mean_and_stderr_needs_two_values_for_an_error():
+    mean, err = mean_and_stderr([])
+    assert math.isnan(mean) and math.isnan(err)
+    # one value gives a mean but no estimate of its spread
+    mean, err = mean_and_stderr([2.5])
+    assert mean == 2.5 and math.isnan(err)
+    assert mean_and_stderr([1.0, 3.0]) == (2.0, 1.0)
 
 
 def test_policy_validation():
-    with pytest.raises(ValueError):
-        SamplingPolicy(mode="bogus")
+    with pytest.raises(ValueError, match="exhaustive_limit must be >= 1"):
+        SamplingPolicy(exhaustive_limit=0)
     with pytest.raises(ValueError):
         SamplingPolicy(sample_count=0)
     # one draw has no standard error

@@ -10,7 +10,6 @@ from netcomplexity.complexity import functional_complexity
 from netcomplexity.harness import (
     EnsembleSpec,
     correlation_report,
-    default_ensemble,
     generate_ensemble,
     pearson,
 )
@@ -52,6 +51,27 @@ def test_spec_validation():
     with pytest.raises(ValueError):
         EnsembleSpec(kind="barabasi-albert", node_count=8, graph_count=1,
                      attachment_count=0)
+
+
+# the fields each kind uses, at valid values
+KIND_FIELDS = {
+    "erdos-renyi": {"edge_probability": 0.4},
+    "watts-strogatz": {"ring_degree": 2, "rewiring_probability": 0.3},
+    "barabasi-albert": {"attachment_count": 2},
+}
+
+
+@pytest.mark.parametrize("kind", sorted(KIND_FIELDS))
+def test_spec_rejects_the_fields_of_other_kinds(kind):
+    own = KIND_FIELDS[kind]
+    EnsembleSpec(kind=kind, node_count=6, graph_count=1, **own)
+    for other, fields in KIND_FIELDS.items():
+        if other == kind:
+            continue
+        for name, value in fields.items():
+            with pytest.raises(ValueError, match=f"^{name} must be unset for {kind}$"):
+                EnsembleSpec(kind=kind, node_count=6, graph_count=1, **own,
+                             **{name: value})
 
 
 def test_complete_graphs_from_full_probability():
@@ -163,7 +183,7 @@ def test_report_rows_match_direct_recomputation():
 
 
 def test_report_emits_three_correlations():
-    report = correlation_report(default_ensemble(graph_count=12))
+    report = correlation_report(er_spec(graph_count=12, seed=11, edge_probability=0.35))
     metrics = [c.metric for c in report.correlations]
     assert metrics == [
         "average_path_length", "average_degree", "clustering_coefficient",
@@ -189,8 +209,9 @@ def test_single_graph_report_rejected():
 
 
 def test_report_is_deterministic():
-    a = correlation_report(default_ensemble(graph_count=8))
-    b = correlation_report(default_ensemble(graph_count=8))
+    spec = er_spec(graph_count=8, seed=11, edge_probability=0.35)
+    a = correlation_report(spec)
+    b = correlation_report(spec)
     assert a.rows == b.rows
     assert a.correlations == b.correlations
     assert a.flags == b.flags
@@ -206,7 +227,7 @@ def test_report_independent_of_mapper():
 
 def test_report_respects_policy():
     spec = er_spec(graph_count=3)
-    policy = SamplingPolicy(mode="uniform-sample", sample_count=200)
+    policy = SamplingPolicy(sample_count=200, exhaustive_limit=1)
     sampled = correlation_report(spec, policy=policy)
     exact = correlation_report(spec)
     for row, g in zip(sampled.rows, generate_ensemble(spec), strict=True):
