@@ -290,7 +290,9 @@ COMMANDS = {
         Param("rewiring_probability", _number, None),
         Param("attachment_count", _integer, None),
         Param("connected_only", _switch, True,
-              "keep disconnected graphs in the ensemble",
+              "keep disconnected graphs in the ensemble; correlate needs "
+              "connected graphs, so a disconnected draw exits 2 and "
+              "otherwise only the header differs from the default's",
               flag="--no-connected-filter"),
         *_SAMPLING,
         Param("seed", _integer, 11, "base RNG seed"),
@@ -409,9 +411,12 @@ def _load_config(path: str | None) -> dict:
 
 
 def _policy(params: dict) -> SamplingPolicy:
+    # uniform-sample is limit 1; params keeps the applied limit for the header
+    if params["mode"] == "uniform-sample":
+        params["limit"] = 1
     return SamplingPolicy(
         sample_count=params["samples"],
-        exhaustive_limit=1 if params["mode"] == "uniform-sample" else params["limit"],
+        exhaustive_limit=params["limit"],
         seed=params["seed"],
     )
 

@@ -1,8 +1,14 @@
-"""Seeded graph ensembles and complexity-vs-classical-metric correlation."""
+"""Seeded graph ensembles and complexity-vs-classical-metric correlation.
+
+Each graph is drawn on random.Random exactly as networkx 3.6.1 draws its
+Erdos-Renyi, Watts-Strogatz and Barabasi-Albert models, without networkx.
+"""
 
 from __future__ import annotations
 
+import itertools
 import math
+import random
 from dataclasses import dataclass
 from statistics import fmean
 
@@ -76,17 +82,47 @@ class EnsembleSpec:
             raise ValueError("attachment_count must lie in 1..node_count-1")
 
 
-def _sample_graph(spec: EnsembleSpec, seed: int):
-    # imported here: networkx is slow to import and only ensembles need it
-    import networkx as nx
-
+def _sample_graph(spec: EnsembleSpec, seed: int) -> list[tuple[int, int]]:
+    """Edges (u < v) of one draw, made as networkx 3.6.1's gnp_random_graph,
+    watts_strogatz_graph and barabasi_albert_graph make them from
+    random.Random(seed): the same calls on the stream, in the same order."""
+    rng = random.Random(seed)
+    n = spec.node_count
     if spec.kind == "erdos-renyi":
-        return nx.gnp_random_graph(spec.node_count, spec.edge_probability, seed=seed)
+        p = spec.edge_probability
+        return [e for e in itertools.combinations(range(n), 2) if rng.random() < p]
     if spec.kind == "watts-strogatz":
-        return nx.watts_strogatz_graph(
-            spec.node_count, spec.ring_degree, spec.rewiring_probability, seed=seed
-        )
-    return nx.barabasi_albert_graph(spec.node_count, spec.attachment_count, seed=seed)
+        nodes = range(n)
+        steps = range(1, spec.ring_degree // 2 + 1)
+        adj = [{(u + j) % n for j in steps} | {(u - j) % n for j in steps} for u in nodes]
+        for j in steps:
+            for u in nodes:
+                if rng.random() < spec.rewiring_probability:
+                    w = rng.choice(nodes)
+                    while w == u or w in adj[u]:
+                        w = rng.choice(nodes)
+                        if len(adj[u]) >= n - 1:
+                            break  # u is saturated: keep the edge
+                    else:
+                        v = (u + j) % n
+                        adj[u].remove(v)
+                        adj[v].remove(u)
+                        adj[u].add(w)
+                        adj[w].add(u)
+        return [(u, v) for u in nodes for v in adj[u] if u < v]
+    # the star on 0..m, then preferential attachment: each node appears in
+    # `repeated` once per edge it has
+    m = spec.attachment_count
+    edges = [(0, t) for t in range(1, m + 1)]
+    repeated = [0] * m + list(range(1, m + 1))
+    for source in range(m + 1, n):
+        targets = set()  # its iteration order extends `repeated`, as in networkx
+        while len(targets) < m:
+            targets.add(rng.choice(repeated))
+        edges.extend((t, source) for t in targets)
+        repeated.extend(targets)
+        repeated.extend([source] * m)
+    return edges
 
 
 def generate_ensemble(spec: EnsembleSpec) -> list[FunctionalTopology]:
@@ -98,13 +134,11 @@ def generate_ensemble(spec: EnsembleSpec) -> list[FunctionalTopology]:
     graphs: list[FunctionalTopology] = []
     for index in range(spec.graph_count):
         for attempt in range(_FILTER_RETRIES):
-            raw = _sample_graph(
+            edges = _sample_graph(
                 spec,
                 sample_stream(spec.seed, "ensemble", index, attempt).getrandbits(63),
             )
-            g = build_topology(
-                spec.node_count, tuple(sorted(tuple(sorted(e)) for e in raw.edges()))
-            )
+            g = build_topology(spec.node_count, tuple(sorted(edges)))
             if not spec.connected_only or is_connected(g):
                 graphs.append(g)
                 break

@@ -8,7 +8,9 @@ conflicts it leaves, and the MAC oracle keys sensors by (lane, index) and
 calls random() once per sender.  The reachability-kernel oracle keeps the
 kernel's earlier numpy formulation, which must agree with the production
 kernel bit for bit.  The subset-draw oracle calls random.sample once per
-subset, which the production draw loop must match row for row.  Slow and
+subset, which the production draw loop must match row for row.  The
+ensemble oracle draws each graph with networkx's own generators, whose
+calls on random.Random the production sampler replays.  Slow and
 obvious beats fast and clever here.
 """
 
@@ -117,6 +119,22 @@ def oracle_sampled_batches(n: int, size: int, count: int, rng, batch: int = 4096
         remaining -= take
         rows = [sorted(rng.sample(range(n), size)) for _ in range(take)]
         yield np.array(rows, dtype=np.intp).reshape(take, size)
+
+
+# ---------------------------------------------------------------------------
+# random-graph ensembles
+
+
+def oracle_ensemble_edges(spec, seed: int) -> list[tuple[int, int]]:
+    """Sorted edges (u < v) of networkx's own draw of one ensemble graph."""
+    n = spec.node_count
+    if spec.kind == "erdos-renyi":
+        g = nx.gnp_random_graph(n, spec.edge_probability, seed=seed)
+    elif spec.kind == "watts-strogatz":
+        g = nx.watts_strogatz_graph(n, spec.ring_degree, spec.rewiring_probability, seed=seed)
+    else:
+        g = nx.barabasi_albert_graph(n, spec.attachment_count, seed=seed)
+    return sorted(tuple(sorted(e)) for e in g.edges())
 
 
 # ---------------------------------------------------------------------------

@@ -219,15 +219,26 @@ def test_all_lists_the_public_bindings():
     assert sorted(netcomplexity.__all__) == sorted(public | {"__version__"})
 
 
-def test_cli_import_leaves_networkx_unloaded():
-    # networkx is slow to import and only the correlate ensembles need it
+def test_cli_import_leaves_networkx_unloaded(tmp_path):
+    # networkx is a test dependency only: with every import of it failing,
+    # correlate still draws and reports each ensemble kind
+    kinds = {
+        "erdos-renyi": ["--edge-probability", "0.5"],
+        "watts-strogatz": ["--ring-degree", "4", "--rewiring-probability", "0.2"],
+        "barabasi-albert": ["--attachment-count", "2"],
+    }
+    script = (
+        "import sys; sys.modules['networkx'] = None; "
+        "from netcomplexity.cli import main; "
+        f"print([main(['correlate', '--kind', kind, *flags, '--graphs', '5', "
+        f"'--nodes', '8', '--out', {str(tmp_path / 'out.csv')!r}]) "
+        f"for kind, flags in {kinds!r}.items()])"
+    )
     proc = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, netcomplexity.cli; print('networkx' in sys.modules)"],
-        capture_output=True, text=True,
+        [sys.executable, "-c", script], capture_output=True, text=True,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.strip() == "[0, 0, 0]"
 
 
 def test_sampled_cfc_leaves_numpy_random_unloaded(tmp_path):
@@ -303,13 +314,19 @@ def test_cfc_malformed_file_exits_one(tmp_path, capsys):
 def test_cfc_uniform_sample_mode_is_limit_one(tmp_path):
     graph = write_graph(tmp_path / "p8.edges", 8, [(i, i + 1) for i in range(7)])
     bodies = []
-    for flags in (("--mode", "uniform-sample"), ("--limit", 1)):
+    configs = []
+    for flags in (("--mode", "uniform-sample", "--limit", 5), ("--limit", 1)):
         out = tmp_path / "out.csv"
         assert run_cli("cfc", "--graph", graph, *flags, "--samples", 50,
                        "--seed", 4, "--out", out) == 0
-        _, rows, summary = parse_output(out)
+        header, rows, summary = parse_output(out)
         bodies.append((rows, summary))
+        configs.append(json.loads(header[2][len("# config: "):]))
     assert bodies[0] == bodies[1]
+    # the header records the limit that ran, not the one given
+    assert [c.pop("mode") for c in configs] == ["uniform-sample", "exhaustive"]
+    assert configs[0] == configs[1]
+    assert configs[0]["limit"] == 1
     # every size below N is sampled, size N is exact
     assert {(row[1], row[-1]) for row in bodies[0][0][1:]} == {
         *((str(j), "True") for j in range(2, 8)), ("8", "False"),
@@ -789,7 +806,7 @@ PINNED_RUNS = (
 )
 
 PINNED_SHA256 = {
-    "cfc": "b4f2f5fa48c61a219db6fc7bd858413789a181d6667b7cb29c59c9a22ed2c9f5",
+    "cfc": "88636f5e42d01a3bc15444cc7eacda1396fdf3b6cc13bdf078cc83cef562ec4e",
     "son-run": "409989f3ae1cebd7da180546b2515d4888fecdb2f598e353fdace107785645b3",
     "son-stability": "7465bcef0d9ea421e91b1549cc19a7649c3f902d2e29e9a2483e23b578e8b7e8",
     "excess-entropy-iid": "59f5bb064d2794555ccc23f139d25e89ad1a423f8acc435245798d6299692944",

@@ -1,6 +1,7 @@
 """Ensemble generation, Pearson correlation, and the metric report."""
 
 import math
+import random
 
 import pytest
 
@@ -8,11 +9,15 @@ from netcomplexity.graph import SamplingPolicy, average_degree, average_path_len
     clustering_coefficient, is_connected
 from netcomplexity.complexity import functional_complexity
 from netcomplexity.harness import (
+    ENSEMBLE_KINDS,
     EnsembleSpec,
+    _sample_graph,
     correlation_report,
     generate_ensemble,
     pearson,
 )
+
+from oracles import oracle_ensemble_edges
 
 
 def er_spec(**overrides):
@@ -122,6 +127,54 @@ def test_other_ensemble_kinds():
         assert g.node_count == 12
         assert is_connected(g)
     assert ws[0].edges != ba[0].edges
+
+
+def replay_specs(kind, n):
+    """One spec per probability and k or m: p in {0, 1, 0.05, 0.95} and one
+    drawn value, every k and m in 1..n-1."""
+    probabilities = (0.0, 1.0, 0.05, 0.95, random.Random(n).random())
+    if kind == "erdos-renyi":
+        return [EnsembleSpec(kind, n, 1, edge_probability=p) for p in probabilities]
+    if kind == "watts-strogatz":
+        return [EnsembleSpec(kind, n, 1, ring_degree=k, rewiring_probability=p)
+                for k in range(1, n) for p in probabilities]
+    return [EnsembleSpec(kind, n, 1, attachment_count=m) for m in range(1, n)]
+
+
+class FiniteRandom(random.Random):
+    """random.Random that fails, rather than hangs, when one stream is asked
+    for more than 10,000 choices: a Watts-Strogatz redraw loop without its
+    saturation break never ends."""
+
+    choices = 0
+
+    def choice(self, seq):
+        self.choices += 1
+        assert self.choices <= 10_000, "the redraw loop does not end"
+        return super().choice(seq)
+
+
+@pytest.mark.parametrize("kind", ENSEMBLE_KINDS)
+def test_sampled_edges_match_networkx(kind, monkeypatch):
+    monkeypatch.setattr(random, "Random", FiniteRandom)
+    seeds = (0, 1, random.Random(kind).getrandbits(63))
+    mismatches = [
+        (spec, seed)
+        for n in range(2, 26)
+        for spec in replay_specs(kind, n)
+        for seed in seeds
+        if sorted(_sample_graph(spec, seed)) != oracle_ensemble_edges(spec, seed)
+    ]
+    assert mismatches == []
+
+
+def test_saturated_watts_strogatz_node_keeps_its_edges(monkeypatch):
+    # k = n - 1 at odd n builds the complete graph: with p = 1 every edge
+    # draws w, redraws while u has degree n - 1, and keeps the edge
+    monkeypatch.setattr(random, "Random", FiniteRandom)
+    spec = EnsembleSpec("watts-strogatz", 7, 1, ring_degree=6, rewiring_probability=1.0)
+    complete = [(u, v) for u in range(7) for v in range(u + 1, 7)]
+    assert sorted(_sample_graph(spec, 3)) == complete == oracle_ensemble_edges(spec, 3)
 
 
 # ---------------------------------------------------------------------------
