@@ -47,6 +47,7 @@ from .harness import (
     EnsembleSpec,
     ReportRow,
     correlation_report,
+    report_blocks,
 )
 from .lattice import (
     ALLOCATORS,
@@ -382,14 +383,23 @@ def _write_csv(args, params: dict, seed_repr: str, columns, rows, summary=()) ->
             fh.write(line + "\n")
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity set where the platform
+    reports one, else the machine's CPU count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 @contextmanager
 def _mapper(workers: int, tasks: int):
-    """map, or a process pool's map with at most one worker per task and CPU.
+    """map, or a process pool's map with at most one worker per task and
+    usable CPU.
 
     The size is clamped before the pool exists: under the fork start method
     the pool forks all max_workers processes at its first submit.
     """
-    size = min(workers, tasks, os.cpu_count() or 1)
+    size = min(workers, tasks, _usable_cpus())
     if size > 1:
         with ProcessPoolExecutor(max_workers=size) as pool:
             yield pool.map
@@ -649,7 +659,7 @@ def cmd_correlate(args) -> int:
         rewiring_probability=params["rewiring_probability"],
         attachment_count=params["attachment_count"],
     )
-    with _mapper(args.workers, spec.graph_count) as mapper:
+    with _mapper(args.workers, len(report_blocks(spec.graph_count))) as mapper:
         report = correlation_report(spec, policy=_policy(params), mapper=mapper)
 
     label_of = dict(METRIC_FIELDS)

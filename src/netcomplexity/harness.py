@@ -35,6 +35,10 @@ ENSEMBLE_KINDS = tuple(_KIND_FIELDS)
 # attempts per graph before declaring the connectivity filter unsatisfiable
 _FILTER_RETRIES = 200
 
+# graphs per correlation_report task; each task draws its own block, so
+# neither the parent nor a task message holds the whole ensemble
+_REPORT_BLOCK = 32
+
 
 @dataclass(frozen=True)
 class EnsembleSpec:
@@ -125,14 +129,18 @@ def _sample_graph(spec: EnsembleSpec, seed: int) -> list[tuple[int, int]]:
     return edges
 
 
-def generate_ensemble(spec: EnsembleSpec) -> list[FunctionalTopology]:
-    """Reproducible graph list; resamples non-connected graphs when filtered.
+def generate_ensemble(
+    spec: EnsembleSpec, indices: range | None = None,
+) -> list[FunctionalTopology]:
+    """Reproducible graph list, graphs ``indices`` (default all) of the
+    ensemble; resamples non-connected graphs when filtered.
 
     Each (graph, attempt) pair draws from its own derived stream, so graph i
-    is independent of how many retries earlier graphs needed.
+    is independent of how many retries other graphs needed and of which
+    indices are drawn together.
     """
     graphs: list[FunctionalTopology] = []
-    for index in range(spec.graph_count):
+    for index in range(spec.graph_count) if indices is None else indices:
         for attempt in range(_FILTER_RETRIES):
             edges = _sample_graph(
                 spec,
@@ -199,15 +207,29 @@ class CorrelationReport:
     flags: tuple[str, ...]
 
 
-def _report_row(task) -> ReportRow:
-    index, g, policy = task
-    return ReportRow(
-        graph_id=index,
-        complexity=functional_complexity(g, policy=policy).complexity,
-        average_path_length=average_path_length(g),
-        average_degree=average_degree(g),
-        clustering_coefficient=clustering_coefficient(g),
-    )
+def report_blocks(graph_count: int) -> list[range]:
+    """The contiguous index blocks that correlation_report hands out as tasks."""
+    return [range(lo, min(lo + _REPORT_BLOCK, graph_count))
+            for lo in range(0, graph_count, _REPORT_BLOCK)]
+
+
+def _report_rows(task) -> list[ReportRow]:
+    """Draw one block of the ensemble and score each graph, naming the graph
+    that a metric rejects."""
+    spec, policy, block = task
+    rows = []
+    for index, g in zip(block, generate_ensemble(spec, block)):
+        try:
+            rows.append(ReportRow(
+                graph_id=index,
+                complexity=functional_complexity(g, policy=policy).complexity,
+                average_path_length=average_path_length(g),
+                average_degree=average_degree(g),
+                clustering_coefficient=clustering_coefficient(g),
+            ))
+        except ValueError as exc:
+            raise ValueError(f"graph {index}: {exc}") from None
+    return rows
 
 
 METRIC_FIELDS = (
@@ -226,13 +248,15 @@ def correlation_report(
 
     A zero-variance column yields a degenerate marker instead of a
     coefficient; any |rho| >= 0.5 is flagged in the report rather than
-    treated as an error.  Rows are assembled in graph order whatever the
+    treated as an error.  The mapper gets one task per block of
+    report_blocks, which draws its own graphs; rows are joined in graph
+    order, so they and the first error raised are the same whatever the
     mapper's parallelism.
     """
-    graphs = generate_ensemble(spec)
-    if len(graphs) < 2:
-        raise ValueError(f"need >= 2 graphs to correlate, got {len(graphs)}")
-    rows = tuple(mapper(_report_row, [(i, g, policy) for i, g in enumerate(graphs)]))
+    if spec.graph_count < 2:
+        raise ValueError(f"need >= 2 graphs to correlate, got {spec.graph_count}")
+    tasks = [(spec, policy, block) for block in report_blocks(spec.graph_count)]
+    rows = tuple(itertools.chain.from_iterable(mapper(_report_rows, tasks)))
     complexities = [row.complexity for row in rows]
     correlations = []
     flags = []

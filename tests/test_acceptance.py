@@ -35,6 +35,7 @@ from netcomplexity import (
     stability_experiment,
 )
 from netcomplexity.cli import main as cli_main
+from netcomplexity.harness import report_blocks
 
 from oracles import oracle_functional_complexity, oracle_repair_distance
 
@@ -309,6 +310,11 @@ def test_criterion_10_cli_worker_determinism(tmp_path):
     t0 = time.perf_counter()
     graph = tmp_path / "p4.edges"
     graph.write_text("N 4 undirected\n0 1\n1 2\n2 3\n", encoding="utf-8")
+    # correlate's pool tasks are blocks of graphs: at least three, the last
+    # one short, so workers 8 starts a pool and joins uneven blocks
+    graphs = 80
+    blocks = report_blocks(graphs)
+    assert len(blocks) >= 3 and len(blocks[-1]) < len(blocks[0])
     commands = {
         "cfc": ["cfc", "--graph", str(graph)],
         "son-stability": ["son-stability", "--dims", "6x6", "--channels", "5",
@@ -317,7 +323,7 @@ def test_criterion_10_cli_worker_determinism(tmp_path):
                            "32x32", "--channels", "3", "--count", "4",
                            "--mmax", "3"],
         "abm": ["abm", "--iterations", "300", "--seeds", "1..8"],
-        "correlate": ["correlate", "--graphs", "16", "--nodes", "8"],
+        "correlate": ["correlate", "--graphs", str(graphs), "--nodes", "8"],
         "son-run": ["son-run", "--dims", "10x10", "--channels", "5",
                     "--seed", "2"],
     }

@@ -675,9 +675,31 @@ def test_correlate_default_header_records_the_reference_ensemble(tmp_path):
     assert len(rows) == 1 + 200 + 3
 
 
-def test_correlate_single_graph_exits_two(capsys):
-    assert run_cli("correlate", "--graphs", 1) == 2
-    capsys.readouterr()
+def test_correlate_single_graph_exits_two(monkeypatch, capsys):
+    # too few graphs, none included, exit before any graph is drawn
+    from netcomplexity import harness
+
+    drawn = []
+    monkeypatch.setattr(harness, "_sample_graph", lambda *args: drawn.append(args))
+    for graphs in (1, 0):
+        assert run_cli("correlate", "--graphs", graphs) == 2
+        assert f"need >= 2 graphs to correlate, got {graphs}" in capsys.readouterr().err
+    assert drawn == []
+
+
+def test_correlate_names_the_first_disconnected_graph(tmp_path, capsys):
+    # graphs 93 and 108 of this ensemble are disconnected; they lie in
+    # different blocks, and the lower index is reported at any worker count
+    errors = []
+    for workers in (1, 2):
+        assert run_cli("correlate", "--graphs", 120, "--edge-probability", 0.55,
+                       "--no-connected-filter", "--workers", workers,
+                       "--out", tmp_path / "out.csv") == 2
+        errors.append(capsys.readouterr().err)
+    assert errors[0] == errors[1] == (
+        "error: graph 93: graph is disconnected: nodes 0 and 1 "
+        "are in different components\n"
+    )
 
 
 def test_correlate_degenerate_metric_marked(tmp_path):
@@ -738,6 +760,8 @@ class FakePool:
     (("abm", "--seeds", "5", "--workers", 4), 64, []),
     (("son-stability", "--dims", "4x4", "--instances", 3, "--budget", 1,
       "--cell-sample", 1, "--channel-sample", 1, "--workers", 10000), 64, [3]),
+    # correlate's tasks are blocks of graphs: 70 graphs make 3 blocks
+    (("correlate", "--graphs", 70, "--nodes", 6, "--workers", 10000), 64, [3]),
 ])
 def test_pool_size_is_clamped_to_tasks_and_cpus(tmp_path, monkeypatch,
                                                 argv, cpus, sizes):
@@ -745,11 +769,31 @@ def test_pool_size_is_clamped_to_tasks_and_cpus(tmp_path, monkeypatch,
 
     monkeypatch.setattr(cli, "ProcessPoolExecutor", FakePool)
     monkeypatch.setattr(FakePool, "sizes", [])
+    # the fallback for platforms without an affinity set
+    monkeypatch.delattr(cli.os, "sched_getaffinity", raising=False)
     monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
     argv = (*argv, "--out", tmp_path / "out.csv")
     if argv[0] == "abm":
         argv = (*argv, "--iterations", 5)
     assert run_cli(*argv) == 0
+    assert FakePool.sizes == sizes
+
+
+@pytest.mark.parametrize("argv,affinity,sizes", [
+    (("correlate", "--graphs", 70, "--nodes", 6, "--workers", 8), {0}, []),
+    (("abm", "--seeds", "1..8", "--iterations", 5, "--workers", 8), {0}, []),
+    (("abm", "--seeds", "1..8", "--iterations", 5, "--workers", 8), {1, 5, 7}, [3]),
+])
+def test_pool_size_follows_the_cpu_affinity(tmp_path, monkeypatch,
+                                            argv, affinity, sizes):
+    # a process pinned to fewer CPUs than the machine has starts no idle workers
+    from netcomplexity import cli
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", FakePool)
+    monkeypatch.setattr(FakePool, "sizes", [])
+    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: affinity, raising=False)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 64)
+    assert run_cli(*argv, "--out", tmp_path / "out.csv") == 0
     assert FakePool.sizes == sizes
 
 

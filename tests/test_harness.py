@@ -1,14 +1,19 @@
 """Ensemble generation, Pearson correlation, and the metric report."""
 
 import math
+import multiprocessing
 import random
+from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
 from netcomplexity.graph import SamplingPolicy, average_degree, average_path_length, \
-    clustering_coefficient, is_connected
+    clustering_coefficient, is_connected, sample_stream
 from netcomplexity.complexity import functional_complexity
+from netcomplexity import harness
 from netcomplexity.harness import (
+    _FILTER_RETRIES,
+    _REPORT_BLOCK,
     ENSEMBLE_KINDS,
     EnsembleSpec,
     _sample_graph,
@@ -90,6 +95,8 @@ def test_ensemble_is_reproducible():
     a = generate_ensemble(er_spec())
     b = generate_ensemble(er_spec())
     assert [g.edges for g in a] == [g.edges for g in b]
+    # a range of indices draws the same graphs as the whole ensemble
+    assert generate_ensemble(er_spec(), range(2, 5)) == a[2:]
     c = generate_ensemble(er_spec(seed=4))
     assert [g.edges for g in a] != [g.edges for g in c]
 
@@ -276,6 +283,56 @@ def test_report_independent_of_mapper():
 
     spec = er_spec(graph_count=5)
     assert correlation_report(spec) == correlation_report(spec, mapper=eager_map)
+
+
+def test_report_hands_out_one_task_per_block():
+    # a short last block: the count is not a multiple of the block size
+    count = 2 * _REPORT_BLOCK + 5
+    spec = er_spec(node_count=8, graph_count=count)
+    tasks = []
+
+    def recording_map(fn, items):
+        items = list(items)
+        tasks.extend(items)
+        return map(fn, items)
+
+    report = correlation_report(spec, mapper=recording_map)
+    assert len(tasks) == math.ceil(count / _REPORT_BLOCK) == 3
+    assert [len(task[2]) for task in tasks] == [_REPORT_BLOCK, _REPORT_BLOCK, 5]
+    graphs = generate_ensemble(spec)
+    assert [row.graph_id for row in report.rows] == list(range(count))
+    for row, g in zip(report.rows, graphs, strict=True):
+        assert row.complexity == functional_complexity(g).complexity
+        assert row.average_path_length == average_path_length(g)
+        assert row.average_degree == average_degree(g)
+        assert row.clustering_coefficient == clustering_coefficient(g)
+
+
+def _fork_pool_map(fn, items):
+    # fork, so the workers see the monkeypatched module
+    with ProcessPoolExecutor(2, mp_context=multiprocessing.get_context("fork")) as pool:
+        return list(pool.map(fn, items))
+
+
+@pytest.mark.parametrize("mapper", [map, _fork_pool_map], ids=["map", "pool"])
+def test_filter_failure_in_a_later_block_names_that_graph(monkeypatch, mapper):
+    # one graph in the second block and one in the third never draw a
+    # connected graph; the lower index is reported
+    spec = er_spec(node_count=6, graph_count=3 * _REPORT_BLOCK, edge_probability=0.9)
+    first, second = _REPORT_BLOCK + 8, 2 * _REPORT_BLOCK + 11
+    empty = {
+        sample_stream(spec.seed, "ensemble", index, attempt).getrandbits(63)
+        for index in (first, second) for attempt in range(_FILTER_RETRIES)
+    }
+
+    def sample_graph(spec, seed):
+        return [] if seed in empty else _sample_graph(spec, seed)
+
+    monkeypatch.setattr(harness, "_sample_graph", sample_graph)
+    with pytest.raises(ValueError, match=(
+        f"^connectivity filter unsatisfied for graph {first} after {_FILTER_RETRIES} attempts"
+    )):
+        correlation_report(spec, mapper=mapper)
 
 
 def test_report_respects_policy():
