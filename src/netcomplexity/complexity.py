@@ -8,6 +8,13 @@ line through the two fixed endpoints (0 at j = r+1, whole-graph information
 at j = N); the metric is the accumulated absolute deviation averaged over
 scales.  Complete graphs (R = 1) have no scale to evaluate and score 0 by
 convention, reported with a degenerate flag.
+
+functional_complexity scores one graph or a block of graphs with one node
+count.  A block shares each exhaustive size's member array: the graphs that
+need the same scales run as one stack through each kernel pass, and each
+graph's cell is summed on its own contiguous row, in the order a one-graph
+evaluation sums it.  Sampled cells are evaluated graph by graph, each on its
+own draw stream.
 """
 
 from __future__ import annotations
@@ -16,6 +23,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -30,7 +38,9 @@ from .graph import (
 # subsets per batch; fixes the summation order of each cell.  A cell of at
 # most one batch keeps its member array cached (see _exhaustive_batches)
 _BATCH = 4096
-_CHUNK = 256  # subsets per kernel pass; bounds the float32 stacks in memory
+# matrix entries per kernel pass, (graph, subset) rows times j * j: bounds
+# each float32 stack at 200 KB, 128 subsets of a 20-node graph
+_CHUNK = 128 * 20 * 20
 
 
 # ---------------------------------------------------------------------------
@@ -72,46 +82,70 @@ def _reach_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
+def _one_hop(flat: np.ndarray, members: np.ndarray, n: int) -> np.ndarray:
+    """One kernel pass's (G * S, j, j) stack: the submatrix induced by each
+    of the S subsets of members in each of the G flat (n * n) adjacencies,
+    graph-major, transposed so that row c lists the nodes reaching member c."""
+    j = members.shape[1]
+    pairs = members[:, None, :] * n + members[:, :, None]
+    return np.take(flat, pairs, axis=1).reshape(-1, j, j)
+
+
 def _information_batch(
     adj: np.ndarray, members: np.ndarray, r: int, first: int = 1
 ) -> np.ndarray:
     """Information per subset at scales first..r for an (S, j) array of
-    member indices; row k-first of the (r-first+1, S) result holds scale k.
+    member indices, in one graph or in each graph of a block: adj is one
+    (n, n) matrix, giving an (r-first+1, S) result, or a stack (G, n, n),
+    giving (r-first+1, G, S).  Row k-first of the result holds scale k.
 
     adj is I | A from _dense_adjacency, so the induced submatrices, gathered
-    through the flat adjacency, already hold one-hop reach with self-loops.
-    Reachability within k hops is (I | A)^k over each submatrix: one float32
-    matmul per scale past first, re-binarized each step, and (I | A)^first
-    by binary exponentiation, floor(log2 first) + popcount(first) - 1
-    products.  Every product of 0/1 matrices sums at most j ones, so float32
-    is exact and both routes give the same matrix.  The reachers of each
-    member are the column sums, taken as one matmul with a row of ones;
-    they are integers of at most j too.  A member reached by c nodes
-    contributes the binary entropy of c / j, read from a table.
+    transposed through the flat adjacency by _one_hop, already hold one-hop
+    reach with self-loops.  Reachability within k hops is (I | A)^k over
+    each submatrix: one float32 matmul per scale past first, re-binarized
+    each step, and (I | A)^first by binary exponentiation, floor(log2 first)
+    + popcount(first) - 1 products.  Every product of 0/1 matrices sums at
+    most j ones, so float32 is exact and both routes give the same matrix.
+    The reachers of each member are the row sums, taken as one matrix-vector
+    product with a row of ones; they are integers of at most j too.  A
+    member reached by c nodes contributes the binary entropy of c / j, read
+    from a table and summed along the member's C-contiguous row.
+
+    A pass stacks the (graph, subset) rows of at most _CHUNK matrix entries:
+    several whole graphs when one pass holds all S subsets, else slices of
+    one graph's subsets.
     """
+    n = adj.shape[-1]
+    flat = adj.reshape(-1, n * n)
+    g_count = len(flat)
     s, j = members.shape
-    n = adj.shape[0]
-    flat = adj.ravel()
     table = _entropy_table(j)
     ones = np.ones(j, dtype=np.float32)
-    out = np.empty((r - first + 1, s))
-    for lo in range(0, s, _CHUNK):
-        m = members[lo:lo + _CHUNK]
-        one_hop = flat[m[:, :, None] * n + m[:, None, :]]
-        reach, power, e = None, one_hop, first
-        while True:  # binary exponentiation, low bit first
-            if e & 1:
-                reach = power if reach is None else _reach_product(reach, power)
-            e >>= 1
-            if not e:
-                break
-            power = _reach_product(power, power)
-        for k in range(r - first + 1):
-            if k:
-                reach = _reach_product(reach, one_hop)
-            counts = np.matmul(ones, reach).astype(np.intp)  # reachers of each member
-            out[k, lo:lo + len(m)] = table[counts].sum(axis=1)
-    return out
+    rows = max(1, _CHUNK // (j * j))
+    step = min(s, rows)  # subsets per pass
+    span = rows // step  # graphs per pass
+    out = np.empty((r - first + 1, g_count, s))
+    for g0 in range(0, g_count, span):
+        graphs = flat[g0:g0 + span]
+        for lo in range(0, s, step):
+            m = members[lo:lo + step]
+            one_hop = _one_hop(graphs, m, n)
+            reach, power, e = None, one_hop, first
+            while True:  # binary exponentiation, low bit first
+                if e & 1:
+                    reach = power if reach is None else _reach_product(reach, power)
+                e >>= 1
+                if not e:
+                    break
+                power = _reach_product(power, power)
+            for k in range(r - first + 1):
+                if k:
+                    reach = _reach_product(reach, one_hop)
+                # reachers of each member, one C-ordered row per subset
+                counts = np.matmul(reach.reshape(-1, j), ones).astype(np.intp)
+                info = table[counts.reshape(-1, j)].sum(axis=1)
+                out[k, g0:g0 + len(graphs), lo:lo + len(m)] = info.reshape(len(graphs), -1)
+    return out if adj.ndim == 3 else out[:, 0]
 
 
 def _member_array(rows, take: int, size: int) -> np.ndarray:
@@ -207,35 +241,33 @@ class MeanInformation:
 
 def _scale_means(
     adj: np.ndarray, batches, r: int, total_count: int, sampled: bool, first: int = 1
-) -> list[MeanInformation]:
-    """Mean information at scales first..r over one stream of member batches."""
-    rows = r - first + 1
-    acc = [0.0] * rows
-    acc_sq = [0.0] * rows
+) -> list[list[MeanInformation]]:
+    """Mean information at scales first..r over one stream of member
+    batches, for each graph of the (G, n, n) stack adj: entry [k][g] holds
+    scale first+k of graph g."""
+    acc = acc_sq = 0.0
     seen = 0
     for members in batches:
         vals = _information_batch(adj, members, r, first)
-        # row sums of the C-ordered (rows, S) array add in the same pairwise
-        # order as a 1-D sum of each row; exhaustive cells need no squares,
-        # their stderr is 0
-        for k, total in enumerate(vals.sum(axis=1).tolist()):
-            acc[k] += total
+        # each graph's cell is a C-contiguous row of the (rows, G, S) result,
+        # so its sum adds in the same pairwise order as a 1-D sum of the
+        # cell; exhaustive cells need no squares, their stderr is 0
+        acc = acc + vals.sum(axis=2)
         if sampled:
-            for k, total in enumerate((vals * vals).sum(axis=1).tolist()):
-                acc_sq[k] += total
+            acc_sq = acc_sq + (vals * vals).sum(axis=2)
         seen += len(members)
     assert seen == total_count
-    means = []
-    for k in range(rows):
-        if not sampled:
-            stderr = 0.0
-        else:
-            var = max(acc_sq[k] - acc[k] * acc[k] / seen, 0.0) / (seen - 1)
-            stderr = math.sqrt(var / seen)
-        means.append(MeanInformation(
-            value=acc[k] / seen, stderr=stderr, subset_count=seen, sampled=sampled,
-        ))
-    return means
+    values = (acc / seen).tolist()
+    if sampled:
+        var = np.maximum(acc_sq - acc * acc / seen, 0.0) / (seen - 1)
+        stderrs = np.sqrt(var / seen).tolist()
+    else:
+        stderrs = [[0.0] * len(row) for row in values]
+    return [
+        [MeanInformation(value=v, stderr=e, subset_count=seen, sampled=sampled)
+         for v, e in zip(value_row, stderr_row)]
+        for value_row, stderr_row in zip(values, stderrs)
+    ]
 
 
 def mean_information(
@@ -265,7 +297,7 @@ def mean_information(
     else:
         batches = _exhaustive_batches(n, size)
         total, sampled = math.comb(n, size), False
-    return _scale_means(adj, batches, r, total, sampled, first=r)[0]
+    return _scale_means(adj[None], batches, r, total, sampled, first=r)[0][0]
 
 
 # ---------------------------------------------------------------------------
@@ -306,36 +338,81 @@ class ComplexityProfile:
 
 
 def functional_complexity(
-    g: FunctionalTopology, policy: SamplingPolicy | None = None
-) -> ComplexityProfile:
+    graphs: FunctionalTopology | Sequence[FunctionalTopology],
+    policy: SamplingPolicy | None = None,
+) -> ComplexityProfile | list[ComplexityProfile]:
     """Evaluate the metric over all scales 1..R-1 and sizes 1+r..N.
 
-    Requires a connected graph.  Diameter-1 graphs score 0 by convention
+    graphs is one topology, giving its profile, or a sequence of topologies
+    with one node count, giving their profiles in order; a sequence is
+    scored as one block, with the same values as one graph at a time.
+    Requires connected graphs; the first graph that is not raises before
+    any is scored.  Diameter-1 graphs score 0 by convention
     (degenerate=True, empty per-scale table).
     """
     policy = policy or SamplingPolicy()
-    if not is_connected(g):
-        # surfaces the same node-pair diagnostic as the metric helpers
-        diameter(g)
-    r_max = diameter(g)
+    single = isinstance(graphs, FunctionalTopology)
+    block = [graphs] if single else list(graphs)
+    node_counts = sorted({g.node_count for g in block})
+    if len(node_counts) > 1:
+        raise ValueError(f"a block needs one node count, got {node_counts}")
+    diameters = []
+    for g in block:
+        if not is_connected(g):
+            # surfaces the same node-pair diagnostic as the metric helpers
+            diameter(g)
+        diameters.append(diameter(g))
+    means = _block_means(block, diameters, policy)
+    profiles = [_profile(g.node_count, r_max, cells)
+                for g, r_max, cells in zip(block, diameters, means)]
+    return profiles[0] if single else profiles
+
+
+def _block_means(
+    block: list[FunctionalTopology], diameters: list[int], policy: SamplingPolicy
+) -> list[dict[tuple[int, int], MeanInformation]]:
+    """Mean information of each graph's (scale, size) cells, keyed (r, size);
+    empty for graphs of diameter < 2.
+
+    An exhaustive size is enumerated once for all its scales and shared by
+    every graph of the block: the graphs are stacked in diameter order, so
+    those that need the same scales 1..top, top = min(R - 1, size - 1), form
+    one run of the stack and one kernel call per member batch.  Sampled
+    cells keep one draw stream each and are evaluated graph by graph.
+    """
+    means: list[dict[tuple[int, int], MeanInformation]] = [{} for _ in block]
+    order = sorted((d, i) for i, d in enumerate(diameters) if d >= 2)
+    if not order:
+        return means
+    n = block[0].node_count
+    adj = np.stack([_dense_adjacency(block[i]) for _, i in order])
+    for size in range(2, n + 1):
+        tops = [min(d - 1, size - 1) for d, _ in order]
+        if policy.sampled(n, size):
+            for (_, i), top in zip(order, tops):
+                for r in range(1, top + 1):
+                    means[i][r, size] = mean_information(block[i], size, r, policy)
+            continue
+        lo = 0
+        for top, run in itertools.groupby(tops):
+            hi = lo + len(list(run))
+            batches = _exhaustive_batches(n, size)
+            scales = _scale_means(adj[lo:hi], batches, top, math.comb(n, size), False)
+            for r, row in enumerate(scales, 1):
+                for (_, i), mi in zip(order[lo:hi], row):
+                    means[i][r, size] = mi
+            lo = hi
+    return means
+
+
+def _profile(
+    n: int, r_max: int, means: dict[tuple[int, int], MeanInformation]
+) -> ComplexityProfile:
+    """A graph's profile from its diameter and cell means."""
     if r_max < 2:
         return ComplexityProfile(
             diameter=r_max, cells=(), complexity=0.0, degenerate=True,
         )
-    adj = _dense_adjacency(g)
-    n = g.node_count
-    # exhaustive sizes are enumerated once for all their scales; sampled
-    # cells keep one draw stream each
-    means: dict[tuple[int, int], MeanInformation] = {}
-    for size in range(2, n + 1):
-        top = min(r_max - 1, size - 1)
-        if policy.sampled(n, size):
-            for r in range(1, top + 1):
-                means[r, size] = mean_information(g, size, r, policy)
-        else:
-            batches = _exhaustive_batches(n, size)
-            row = _scale_means(adj, batches, top, math.comb(n, size), False)
-            means.update(((r, size), mi) for r, mi in enumerate(row, 1))
     cells: list[ScaleCell] = []
     total = 0.0
     for r in range(1, r_max):

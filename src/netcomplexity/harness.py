@@ -214,15 +214,22 @@ def report_blocks(graph_count: int) -> list[range]:
 
 
 def _report_rows(task) -> list[ReportRow]:
-    """Draw one block of the ensemble and score each graph, naming the graph
-    that a metric rejects."""
+    """Draw one block of the ensemble and score it, its complexities in one
+    block call, naming the graph that a metric rejects."""
     spec, policy, block = task
+    graphs = generate_ensemble(spec, block)
+    try:
+        profiles = functional_complexity(graphs, policy=policy)
+    except ValueError:
+        # scored graph by graph below, so that the error names its graph
+        profiles = [None] * len(graphs)
     rows = []
-    for index, g in zip(block, generate_ensemble(spec, block)):
+    for index, g, profile in zip(block, graphs, profiles):
         try:
+            profile = profile or functional_complexity(g, policy=policy)
             rows.append(ReportRow(
                 graph_id=index,
-                complexity=functional_complexity(g, policy=policy).complexity,
+                complexity=profile.complexity,
                 average_path_length=average_path_length(g),
                 average_degree=average_degree(g),
                 clustering_coefficient=clustering_coefficient(g),

@@ -7,17 +7,19 @@ literally, the repair witness checker applies a witness and lists the
 conflicts it leaves, and the MAC oracle keys sensors by (lane, index) and
 calls random() once per sender.  The reachability-kernel oracle keeps the
 kernel's earlier numpy formulation, which must agree with the production
-kernel bit for bit.  The subset-draw oracle calls random.sample once per
-subset, which the production draw loop must match row for row.  The
-ensemble oracle draws each graph with networkx's own generators, whose
-calls on random.Random the production sampler replays.  Slow and
-obvious beats fast and clever here.
+kernel bit for bit; the profile oracle keeps the earlier one-graph-at-a-time
+profile, which block scoring must reproduce bit for bit.  The subset-draw
+oracle calls random.sample once per subset, which the production draw loop
+must match row for row.  The ensemble oracle draws each graph with
+networkx's own generators, whose calls on random.Random the production
+sampler replays.  Slow and obvious beats fast and clever here.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import random
 from fractions import Fraction
 
 import networkx as nx
@@ -107,6 +109,68 @@ def oracle_information_batch(adj, members, r: int, chunk: int = 256):
             counts = reach.sum(axis=1).astype(np.intp)
             out[k, lo:lo + len(m)] = table[counts].sum(axis=1)
     return out
+
+
+def oracle_profile(
+    node_count: int, edges, directed: bool = False,
+    sample_count: int = 10_000, exhaustive_limit: int = 100_000, seed: int = 0,
+    batch: int = 4096,
+):
+    """(diameter, cells, complexity) of one graph, evaluated one graph at a
+    time as the production profile did before it scored blocks: each cell is
+    (scale, size, mean, baseline, deviation, stderr, subset_count, sampled).
+
+    An exhaustive size enumerates its subsets in lexicographic batches of
+    batch rows, runs scales 1..top on each and adds each batch's row sums
+    into a Python float; a sampled (scale, size) cell draws sample_count
+    subsets from random.Random("seed:scale:size") one random.sample call at
+    a time and also keeps the sum of squares for its standard error.  The
+    kernel is oracle_information_batch; the diameter is networkx's on the
+    undirected view.
+    """
+    G = nx.DiGraph() if directed else nx.Graph()
+    G.add_nodes_from(range(node_count))
+    G.add_edges_from(edges)
+    R = nx.diameter(G.to_undirected(as_view=True))
+    if R < 2:
+        return R, (), 0.0
+    adj = nx.to_numpy_array(G, nodelist=range(node_count), dtype=np.float32)
+    n = node_count
+    means = {}
+    for size in range(2, n + 1):
+        top = min(R - 1, size - 1)
+        total = math.comb(n, size)
+        if total > exhaustive_limit:
+            for r in range(1, top + 1):
+                rng = random.Random(f"{seed}:{r}:{size}")
+                acc = acc_sq = 0.0
+                for members in oracle_sampled_batches(n, size, sample_count, rng, batch):
+                    vals = oracle_information_batch(adj, members, r)[r - 1]
+                    acc += vals.sum()
+                    acc_sq += (vals * vals).sum()
+                var = max(acc_sq - acc * acc / sample_count, 0.0) / (sample_count - 1)
+                means[r, size] = (acc / sample_count, math.sqrt(var / sample_count),
+                                  sample_count, True)
+            continue
+        acc = [0.0] * top
+        subsets = itertools.combinations(range(n), size)
+        for lo in range(0, total, batch):
+            members = np.array(list(itertools.islice(subsets, batch)), dtype=np.intp)
+            for k, row in enumerate(oracle_information_batch(adj, members, top)):
+                acc[k] += row.sum()
+        for r in range(1, top + 1):
+            means[r, size] = (acc[r - 1] / total, 0.0, total, False)
+    cells = []
+    deviations = 0.0
+    for r in range(1, R):
+        whole = means[r, n][0]
+        for size in range(1 + r, n + 1):
+            mean, stderr, count, sampled = means[r, size]
+            baseline = (r + 1 - size) / (r + 1 - n) * whole
+            deviation = abs(mean - baseline)
+            deviations += deviation
+            cells.append((r, size, mean, baseline, deviation, stderr, count, sampled))
+    return R, tuple(cells), deviations / (R - 1)
 
 
 def oracle_sampled_batches(n: int, size: int, count: int, rng, batch: int = 4096):

@@ -702,6 +702,21 @@ def test_correlate_names_the_first_disconnected_graph(tmp_path, capsys):
     )
 
 
+def test_correlate_names_the_lower_of_two_disconnected_graphs_in_a_block(tmp_path, capsys):
+    # graphs 33 and 37 of this ensemble are disconnected, both in the second
+    # block of 32, which is scored in one call; the lower index is reported
+    errors = []
+    for workers in (1, 2):
+        assert run_cli("correlate", "--graphs", 64, "--seed", 5, "--edge-probability", 0.5,
+                       "--no-connected-filter", "--workers", workers,
+                       "--out", tmp_path / "out.csv") == 2
+        errors.append(capsys.readouterr().err)
+    assert errors[0] == errors[1] == (
+        "error: graph 33: graph is disconnected: nodes 0 and 6 "
+        "are in different components\n"
+    )
+
+
 def test_correlate_degenerate_metric_marked(tmp_path):
     # complete graphs: zero variance everywhere, no coefficient defined
     out = tmp_path / "out.csv"

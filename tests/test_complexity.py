@@ -1,5 +1,6 @@
 """Functional-complexity metric: frozen anchors, oracle equality, sampling."""
 
+import dataclasses
 import itertools
 import math
 import random
@@ -22,6 +23,7 @@ from oracles import (
     oracle_functional_complexity,
     oracle_information_batch,
     oracle_mean_information,
+    oracle_profile,
     oracle_sampled_batches,
     oracle_subgraph_information,
 )
@@ -336,8 +338,8 @@ def test_kernel_values_do_not_depend_on_chunking(monkeypatch):
         for part in np.split(members, cuts)
     ]
     assert np.array_equal(np.concatenate(parts, axis=1), ref)
-    for chunk in (1, 3, 255, 1000):
-        monkeypatch.setattr(complexity, "_CHUNK", chunk)
+    for rows in (1, 3, 255, 1000):  # _CHUNK counts entries: rows of 7 x 7
+        monkeypatch.setattr(complexity, "_CHUNK", rows * 7 * 7)
         assert np.array_equal(complexity._information_batch(adj, members, 5), ref)
 
 
@@ -359,10 +361,10 @@ def test_kernel_equals_oracle_kernel(directed, monkeypatch):
                 list(itertools.combinations(range(n), size)), dtype=np.intp
             )
             ref = oracle_information_batch(adj, members, size - 1)
-            for chunk in (1, 3, 256):
-                monkeypatch.setattr(complexity, "_CHUNK", chunk)
+            for rows in (1, 3, 256):  # subsets per pass
+                monkeypatch.setattr(complexity, "_CHUNK", rows * size * size)
                 got = complexity._information_batch(adj, members, size - 1)
-                assert np.array_equal(got, ref), (n, size, chunk)
+                assert np.array_equal(got, ref), (n, size, rows)
 
 
 @pytest.mark.parametrize("directed", [False, True])
@@ -383,8 +385,8 @@ def test_kernel_from_scale_equals_oracle_rows(directed, monkeypatch):
                 list(itertools.combinations(range(n), size)), dtype=np.intp
             )
             ref = oracle_information_batch(adj, members, size - 1)
-            for chunk in (3, 256):
-                monkeypatch.setattr(complexity, "_CHUNK", chunk)
+            for rows in (3, 256):  # subsets per pass
+                monkeypatch.setattr(complexity, "_CHUNK", rows * size * size)
                 for r in range(1, size):
                     for first in range(1, r + 1):
                         got = complexity._information_batch(adj, members, r, first)
@@ -412,6 +414,160 @@ def test_one_batch_member_arrays_are_cached_read_only(monkeypatch):
         complexity._information_batch(adj, members, 4),
         oracle_information_batch(adj, members.copy(), 4),
     )
+
+
+# ---------------------------------------------------------------------------
+# a block of graphs in shared kernel passes against one graph at a time
+
+
+def graph_of_diameter(n, d):
+    """The complete graph for d = 1; else the path 0..d with every other
+    node joined to node 1 and to each other, which keeps the diameter d."""
+    if d == 1:
+        return complete(n)
+    edges = [(i, i + 1) for i in range(d)]
+    extra = range(d + 1, n)
+    edges += [(1, v) for v in extra] + list(itertools.combinations(extra, 2))
+    return build_topology(n, edges)
+
+
+def profile_key(prof):
+    return prof.diameter, tuple(dataclasses.astuple(c) for c in prof.cells), prof.complexity
+
+
+def oracle_key(g, pol=SamplingPolicy()):
+    return oracle_profile(
+        g.node_count, g.edges, g.directed, pol.sample_count, pol.exhaustive_limit, pol.seed
+    )
+
+
+def mixed_block(seed, n, count):
+    """Every diameter 1..n-1 plus seeded connected graphs, shuffled."""
+    rng = random.Random(seed)
+    block = [graph_of_diameter(n, d) for d in range(1, n)]
+    block += [g for _, g in connected_graphs(seed, count, (n, n), directed=False)]
+    rng.shuffle(block)
+    return block
+
+
+def test_block_profiles_equal_one_graph_oracle():
+    block = mixed_block(73, 10, 14)
+    profiles = functional_complexity(block)
+    assert {p.diameter for p in profiles} == set(range(1, 10))
+    assert profiles[[g.edges for g in block].index(complete(10).edges)].degenerate
+    for g, prof in zip(block, profiles, strict=True):
+        assert profile_key(prof) == oracle_key(g)
+        assert profile_key(functional_complexity(g)) == oracle_key(g)
+
+
+def test_directed_block_profiles_equal_one_graph_oracle():
+    block = [g for _, g in connected_graphs(79, 12, (9, 9), directed=True)]
+    assert len({complexity.diameter(g) for g in block}) > 1
+    for g, prof in zip(block, functional_complexity(block), strict=True):
+        assert profile_key(prof) == oracle_key(g)
+
+
+def test_block_cell_past_one_batch_equals_oracle():
+    # size 7 of 15 nodes has C(15, 7) = 6435 subsets, two member batches
+    assert math.comb(15, 7) > complexity._BATCH
+    block = [graph_of_diameter(15, 3), graph_of_diameter(15, 5), graph_of_diameter(15, 3)]
+    for g, prof in zip(block, functional_complexity(block), strict=True):
+        assert profile_key(prof) == oracle_key(g)
+
+
+@pytest.mark.parametrize("limit", [1, 100])
+def test_block_with_sampled_sizes_equals_oracle(limit):
+    pol = SamplingPolicy(sample_count=60, exhaustive_limit=limit, seed=5)
+    block = mixed_block(83, 9, 4)
+    profiles = functional_complexity(block, pol)
+    assert {c.sampled for p in profiles for c in p.cells} == {False, True}
+    for g, prof in zip(block, profiles, strict=True):
+        assert profile_key(prof) == oracle_key(g, pol)
+
+
+@pytest.mark.parametrize("directed", [False, True])
+def test_stacked_kernel_equals_oracle_kernel(directed, monkeypatch):
+    rng = random.Random(89)
+    for n in (4, 9, 11):
+        if directed:
+            block = [random_digraph(rng, n, 0.3)[1] for _ in range(5)]
+        else:
+            block = [graph_of_diameter(n, d) for d in range(1, n)]
+        stack = np.stack([complexity._dense_adjacency(g) for g in block])
+        for size in range(2, n + 1):
+            members = np.array(list(itertools.combinations(range(n), size)), dtype=np.intp)
+            refs = [oracle_information_batch(a, members, size - 1) for a in stack]
+            for rows in (1, 7, len(members) + 1, 4 * len(members)):
+                monkeypatch.setattr(complexity, "_CHUNK", rows * size * size)
+                for r, first in {(size - 1, 1), (size - 1, size - 1), (1, 1)}:
+                    got = complexity._information_batch(stack, members, r, first)
+                    assert got.shape == (r - first + 1, len(block), len(members))
+                    for g, ref in enumerate(refs):
+                        assert np.array_equal(got[:, g], ref[first - 1:r]), (n, size, rows, r)
+
+
+def test_block_needs_one_node_count():
+    with pytest.raises(ValueError, match="one node count"):
+        functional_complexity([path(5), path(6)])
+    assert functional_complexity([]) == []
+
+
+def test_block_raises_for_its_first_disconnected_graph():
+    broken = [build_topology(5, [(0, 1), (2, 3), (3, 4)]), build_topology(5, [(0, 2)])]
+    with pytest.raises(ValueError) as one:
+        functional_complexity(broken[0])
+    with pytest.raises(ValueError) as block:
+        functional_complexity([path(5), *broken])
+    assert str(block.value) == str(one.value)
+
+
+def record_passes(monkeypatch):
+    shapes = []
+    gather = complexity._one_hop
+
+    def one_hop(flat, members, n):
+        out = gather(flat, members, n)
+        shapes.append(out.shape)
+        return out
+
+    monkeypatch.setattr(complexity, "_one_hop", one_hop)
+    return shapes
+
+
+# 256 subsets of a 20-node graph: the largest pass before blocks
+LARGEST_STACK_BYTES = 256 * 20 * 20 * 4
+
+
+def test_block_passes_stay_within_the_stack_bound(monkeypatch):
+    # 32 graphs of diameter 3 need scales 1..2 at every size past 2: one
+    # kernel call per size, its passes whole graphs while they fit
+    shapes = record_passes(monkeypatch)
+    profiles = functional_complexity([graph_of_diameter(10, 3)] * 32)
+    assert len({p.complexity for p in profiles}) == 1
+    assert shapes == [
+        (1440, 2, 2), (3840, 3, 3),
+        (3150, 4, 4), (3150, 4, 4), (420, 4, 4),
+        *[(2016, 5, 5)] * 4,
+        *[(1260, 6, 6)] * 5, (420, 6, 6),
+        *[(960, 7, 7)] * 4,
+        (765, 8, 8), (675, 8, 8),
+        (320, 9, 9), (32, 10, 10),
+    ]
+    for rows, j, _ in shapes:
+        assert rows * j * j <= complexity._CHUNK
+        assert rows * j * j * 4 <= LARGEST_STACK_BYTES
+
+
+def test_one_graph_passes_stay_within_the_stack_bound(monkeypatch):
+    shapes = record_passes(monkeypatch)
+    pol = SamplingPolicy(sample_count=500, exhaustive_limit=2000, seed=3)
+    functional_complexity(graph_of_diameter(20, 6), pol)
+    assert (1, 20, 20) in shapes and (20, 19, 19) in shapes
+    for rows, j, _ in shapes:
+        assert rows * j * j <= complexity._CHUNK
+        assert rows * j * j * 4 <= LARGEST_STACK_BYTES
+    # 500 draws of 12 members: passes of _CHUNK // 144 = 355 rows
+    assert shapes.count((355, 12, 12)) == 5 and shapes.count((145, 12, 12)) == 5
 
 
 # ---------------------------------------------------------------------------
