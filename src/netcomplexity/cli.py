@@ -25,7 +25,7 @@ import sys
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
-from dataclasses import astuple, dataclass, fields
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -459,8 +459,7 @@ def cmd_cfc(args) -> int:
     ]
     _write_csv(
         args, params, str(params["seed"]),
-        [f.name for f in fields(ScaleCell)],
-        [astuple(c) for c in profile.cells],
+        ScaleCell._fields, profile.cells,
         summary,
     )
     return 0
@@ -675,8 +674,7 @@ def cmd_correlate(args) -> int:
     summary = notes + [f"# flag: {flag}" for flag in report.flags]
     _write_csv(
         args, params, str(params["seed"]),
-        [f.name for f in fields(ReportRow)],
-        [astuple(r) for r in report.rows] + footer_rows,
+        ReportRow._fields, [*report.rows, *footer_rows],
         summary,
     )
     return 0

@@ -23,7 +23,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -229,8 +229,7 @@ def _sampled_batches(n: int, size: int, count: int, rng):
         yield chunk
 
 
-@dataclass(frozen=True)
-class MeanInformation:
+class MeanInformation(NamedTuple):
     """Mean subgraph information at one (scale, size) cell."""
 
     value: float
@@ -241,10 +240,10 @@ class MeanInformation:
 
 def _scale_means(
     adj: np.ndarray, batches, r: int, total_count: int, sampled: bool, first: int = 1
-) -> list[list[MeanInformation]]:
-    """Mean information at scales first..r over one stream of member
-    batches, for each graph of the (G, n, n) stack adj: entry [k][g] holds
-    scale first+k of graph g."""
+) -> tuple[list[list[float]], list[list[float]]]:
+    """Mean information and its standard error at scales first..r over one
+    stream of member batches, for each graph of the (G, n, n) stack adj:
+    entry [k][g] of each holds scale first+k of graph g."""
     acc = acc_sq = 0.0
     seen = 0
     for members in batches:
@@ -257,17 +256,12 @@ def _scale_means(
             acc_sq = acc_sq + (vals * vals).sum(axis=2)
         seen += len(members)
     assert seen == total_count
-    values = (acc / seen).tolist()
     if sampled:
         var = np.maximum(acc_sq - acc * acc / seen, 0.0) / (seen - 1)
-        stderrs = np.sqrt(var / seen).tolist()
+        stderrs = np.sqrt(var / seen)
     else:
-        stderrs = [[0.0] * len(row) for row in values]
-    return [
-        [MeanInformation(value=v, stderr=e, subset_count=seen, sampled=sampled)
-         for v, e in zip(value_row, stderr_row)]
-        for value_row, stderr_row in zip(values, stderrs)
-    ]
+        stderrs = np.zeros_like(acc)
+    return (acc / seen).tolist(), stderrs.tolist()
 
 
 def mean_information(
@@ -297,16 +291,17 @@ def mean_information(
     else:
         batches = _exhaustive_batches(n, size)
         total, sampled = math.comb(n, size), False
-    return _scale_means(adj[None], batches, r, total, sampled, first=r)[0][0]
+    values, stderrs = _scale_means(adj[None], batches, r, total, sampled, first=r)
+    return MeanInformation(values[0][0], stderrs[0][0], total, sampled)
 
 
 # ---------------------------------------------------------------------------
 # profile
 
 
-@dataclass(frozen=True)
-class ScaleCell:
-    """One (scale, size) entry of a complexity profile."""
+class ScaleCell(NamedTuple):
+    """One (scale, size) entry of a complexity profile, its fields in CSV
+    column order."""
 
     scale: int
     size: int
@@ -370,9 +365,9 @@ def functional_complexity(
 
 def _block_means(
     block: list[FunctionalTopology], diameters: list[int], policy: SamplingPolicy
-) -> list[dict[tuple[int, int], MeanInformation]]:
-    """Mean information of each graph's (scale, size) cells, keyed (r, size);
-    empty for graphs of diameter < 2.
+) -> list[dict[tuple[int, int], tuple[float, float, int, bool]]]:
+    """(mean, stderr, subset_count, sampled) of each graph's (scale, size)
+    cells, keyed (r, size); empty for graphs of diameter < 2.
 
     An exhaustive size is enumerated once for all its scales and shared by
     every graph of the block: the graphs are stacked in diameter order, so
@@ -380,7 +375,7 @@ def _block_means(
     one run of the stack and one kernel call per member batch.  Sampled
     cells keep one draw stream each and are evaluated graph by graph.
     """
-    means: list[dict[tuple[int, int], MeanInformation]] = [{} for _ in block]
+    means: list[dict] = [{} for _ in block]
     order = sorted((d, i) for i, d in enumerate(diameters) if d >= 2)
     if not order:
         return means
@@ -393,20 +388,21 @@ def _block_means(
                 for r in range(1, top + 1):
                     means[i][r, size] = mean_information(block[i], size, r, policy)
             continue
+        count = math.comb(n, size)
         lo = 0
         for top, run in itertools.groupby(tops):
             hi = lo + len(list(run))
             batches = _exhaustive_batches(n, size)
-            scales = _scale_means(adj[lo:hi], batches, top, math.comb(n, size), False)
-            for r, row in enumerate(scales, 1):
-                for (_, i), mi in zip(order[lo:hi], row):
-                    means[i][r, size] = mi
+            values, _ = _scale_means(adj[lo:hi], batches, top, count, False)
+            for r, row in enumerate(values, 1):
+                for (_, i), value in zip(order[lo:hi], row):
+                    means[i][r, size] = (value, 0.0, count, False)
             lo = hi
     return means
 
 
 def _profile(
-    n: int, r_max: int, means: dict[tuple[int, int], MeanInformation]
+    n: int, r_max: int, means: dict[tuple[int, int], tuple[float, float, int, bool]]
 ) -> ComplexityProfile:
     """A graph's profile from its diameter and cell means."""
     if r_max < 2:
@@ -416,25 +412,14 @@ def _profile(
     cells: list[ScaleCell] = []
     total = 0.0
     for r in range(1, r_max):
-        whole_info = means[r, n].value  # the single full-size subset
+        whole_info = means[r, n][0]  # the single full-size subset
         for size in range(1 + r, n + 1):
-            mi = means[r, size]
-            slope = (r + 1 - size) / (r + 1 - n)
-            baseline = slope * whole_info
-            deviation = abs(mi.value - baseline)
+            value, stderr, subset_count, sampled = means[r, size]
+            baseline = (r + 1 - size) / (r + 1 - n) * whole_info
+            deviation = abs(value - baseline)
             total += deviation
-            cells.append(
-                ScaleCell(
-                    scale=r,
-                    size=size,
-                    mean_information=mi.value,
-                    baseline=baseline,
-                    deviation=deviation,
-                    stderr=mi.stderr,
-                    subset_count=mi.subset_count,
-                    sampled=mi.sampled,
-                )
-            )
+            cells.append(ScaleCell(r, size, value, baseline, deviation,
+                                   stderr, subset_count, sampled))
     return ComplexityProfile(
         diameter=r_max,
         cells=tuple(cells),

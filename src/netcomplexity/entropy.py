@@ -84,7 +84,10 @@ def conditional_entropy_profile(
             raise ValueError(
                 "all sample lattices must share dimensions and alphabet"
             )
-    offsets = context_offsets(max_context)
+    # a lattice has width * height - 1 other cells, so a deeper context
+    # cannot fit; its offsets are not built
+    cells = first.width * first.height
+    offsets = context_offsets(max_context) if max_context < cells else ()
     wrapped = {(dr % first.height, dc % first.width) for dr, dc in offsets}
     if len(wrapped) < max_context or (0, 0) in wrapped:
         raise ValueError(

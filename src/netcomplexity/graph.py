@@ -43,15 +43,21 @@ class FunctionalTopology:
         return tuple(tuple(sorted(a)) for a in adj)
 
     @cached_property
+    def _first_row(self) -> list[int]:
+        """Hop distances from node 0 in the undirected view; it reaches
+        every node exactly when the graph is connected.  is_connected and
+        _distance_rows share this one pass."""
+        return _bfs_distances(self.undirected_neighbors, 0)
+
+    @cached_property
     def _distance_rows(self) -> tuple[list[int], ...]:
         """Hop distances of the undirected view, one row per source node;
         only row 0 when the graph is disconnected.  diameter and
         average_path_length share this one all-pairs pass."""
-        adj = self.undirected_neighbors
-        first = _bfs_distances(adj, 0)
-        # row 0 reaches every node exactly when the graph is connected
+        first = self._first_row
         if -1 in first:
             return (first,)
+        adj = self.undirected_neighbors
         return (first, *(_bfs_distances(adj, s) for s in range(1, self.node_count)))
 
 
@@ -109,8 +115,7 @@ def _bfs_distances(adj: Sequence[Sequence[int]], source: int) -> list[int]:
 
 def is_connected(g: FunctionalTopology) -> bool:
     """Connectivity of the undirected view."""
-    dist = _bfs_distances(g.undirected_neighbors, 0)
-    return all(d >= 0 for d in dist)
+    return -1 not in g._first_row
 
 
 def _distances(g: FunctionalTopology, metric: str) -> tuple[list[int], ...]:

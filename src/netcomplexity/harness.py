@@ -11,6 +11,7 @@ import math
 import random
 from dataclasses import dataclass
 from statistics import fmean
+from typing import NamedTuple
 
 from .complexity import functional_complexity
 from .graph import (
@@ -184,8 +185,9 @@ def pearson(xs, ys) -> float:
     return max(-1.0, min(1.0, sxy / math.sqrt(sxx * syy)))
 
 
-@dataclass(frozen=True)
-class ReportRow:
+class ReportRow(NamedTuple):
+    """One graph's line of the metric table, its fields in CSV column order."""
+
     graph_id: int
     complexity: float
     average_path_length: float
@@ -215,28 +217,22 @@ def report_blocks(graph_count: int) -> list[range]:
 
 def _report_rows(task) -> list[ReportRow]:
     """Draw one block of the ensemble and score it, its complexities in one
-    block call, naming the graph that a metric rejects."""
+    block call.  The block call rejects its first disconnected graph, which
+    the error then names."""
     spec, policy, block = task
     graphs = generate_ensemble(spec, block)
     try:
         profiles = functional_complexity(graphs, policy=policy)
-    except ValueError:
-        # scored graph by graph below, so that the error names its graph
-        profiles = [None] * len(graphs)
-    rows = []
-    for index, g, profile in zip(block, graphs, profiles):
-        try:
-            profile = profile or functional_complexity(g, policy=policy)
-            rows.append(ReportRow(
-                graph_id=index,
-                complexity=profile.complexity,
-                average_path_length=average_path_length(g),
-                average_degree=average_degree(g),
-                clustering_coefficient=clustering_coefficient(g),
-            ))
-        except ValueError as exc:
-            raise ValueError(f"graph {index}: {exc}") from None
-    return rows
+    except ValueError as exc:
+        index = next((i for i, g in zip(block, graphs) if not is_connected(g)), None)
+        if index is None:
+            raise
+        raise ValueError(f"graph {index}: {exc}") from None
+    return [
+        ReportRow(index, profile.complexity, average_path_length(g),
+                  average_degree(g), clustering_coefficient(g))
+        for index, g, profile in zip(block, graphs, profiles)
+    ]
 
 
 METRIC_FIELDS = (

@@ -18,6 +18,7 @@ from netcomplexity import (
 from netcomplexity.cli import main
 
 from test_complexity import P4_COMPLEXITY
+from test_entropy import bounded_offsets
 
 
 def run_cli(*argv):
@@ -457,6 +458,15 @@ def test_excess_entropy_context_deeper_than_the_lattice_exits_two(capsys):
         "--count", 200, "--mmax", 9, "--seed", 1,
     ) == 2
     assert "context depth 9 does not fit on a 2x2 lattice" in capsys.readouterr().err
+
+
+def test_excess_entropy_huge_context_exits_two_without_building_it(monkeypatch, capsys):
+    bounded_offsets(monkeypatch, 24)
+    assert run_cli(
+        "excess-entropy", "--generate", "iid", "--dims", "5x5", "--count", 2,
+        "--mmax", 1_000_000,
+    ) == 2
+    assert "context depth 1000000 does not fit on a 5x5 lattice" in capsys.readouterr().err
 
 
 def test_excess_entropy_son_generator_defaults_converge(capsys):

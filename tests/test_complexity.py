@@ -1,6 +1,5 @@
 """Functional-complexity metric: frozen anchors, oracle equality, sampling."""
 
-import dataclasses
 import itertools
 import math
 import random
@@ -432,7 +431,7 @@ def graph_of_diameter(n, d):
 
 
 def profile_key(prof):
-    return prof.diameter, tuple(dataclasses.astuple(c) for c in prof.cells), prof.complexity
+    return prof.diameter, tuple(tuple(c) for c in prof.cells), prof.complexity
 
 
 def oracle_key(g, pol=SamplingPolicy()):

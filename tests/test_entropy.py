@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from netcomplexity import entropy
 from netcomplexity.entropy import (
     conditional_entropy_profile,
     context_offsets,
@@ -185,6 +186,29 @@ def test_profile_validation():
     wide = [ChannelLattice(2, 2, 2 ** 16, np.zeros((2, 2), dtype=np.int64))]
     with pytest.raises(ValueError):
         conditional_entropy_profile(wide, 4)
+
+
+def bounded_offsets(monkeypatch, limit):
+    """Make context_offsets fail when asked for more than limit offsets."""
+    build = entropy.context_offsets
+
+    def bounded(depth):
+        assert depth <= limit, f"built {depth} context offsets"
+        return build(depth)
+
+    monkeypatch.setattr(entropy, "context_offsets", bounded)
+
+
+def test_a_depth_past_the_lattice_builds_no_offsets(monkeypatch):
+    # a 5x5 torus has 24 other cells; a deeper context is rejected before
+    # its offsets are built, and before the alphabet's code-space check
+    bounded_offsets(monkeypatch, 24)
+    samples = random_lattice(5, 5, 4, 1)
+    assert len(conditional_entropy_profile(samples, 24)) == 24
+    wide = [ChannelLattice(5, 5, 2 ** 16, np.zeros((5, 5), dtype=np.int64))]
+    for lattices, depth in ((samples, 25), (samples, 10 ** 6), (wide, 25)):
+        with pytest.raises(ValueError, match=f"^context depth {depth} does not fit on a 5x5"):
+            conditional_entropy_profile(lattices, depth)
 
 
 @pytest.mark.parametrize("side,depth,fits", [

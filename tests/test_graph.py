@@ -160,15 +160,32 @@ def test_distance_metrics_name_the_first_unreached_node(metric):
     )
 
 
-def test_distance_metrics_share_one_all_pairs_pass(monkeypatch):
+def bfs_sources(monkeypatch):
+    """The source of every _bfs_distances call from now on."""
     calls = []
     bfs = graph_module._bfs_distances
     monkeypatch.setattr(graph_module, "_bfs_distances",
                         lambda adj, source: calls.append(source) or bfs(adj, source))
+    return calls
+
+
+def test_distance_metrics_share_one_all_pairs_pass(monkeypatch):
+    # is_connected reads the all-pairs pass's row 0, before or after it
+    calls = bfs_sources(monkeypatch)
     g = build_topology(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)])
+    assert is_connected(g)
     assert (diameter(g), average_path_length(g)) == (2, 1.5)
-    assert diameter(g) == 2
+    assert diameter(g) == 2 and is_connected(g)
     assert calls == [0, 1, 2, 3, 4]
+
+
+def test_disconnected_graph_costs_one_bfs(monkeypatch):
+    calls = bfs_sources(monkeypatch)
+    g = build_topology(5, [(0, 1), (2, 3), (3, 4)])
+    assert not is_connected(g)
+    with pytest.raises(ValueError, match="nodes 0 and 2 are in different components"):
+        diameter(g)
+    assert calls == [0]
 
 
 def test_average_degree_values():

@@ -335,6 +335,34 @@ def test_filter_failure_in_a_later_block_names_that_graph(monkeypatch, mapper):
         correlation_report(spec, mapper=mapper)
 
 
+def test_a_failing_block_is_scored_once_and_names_its_first_disconnected_graph(monkeypatch):
+    spec = er_spec(graph_count=10, connected_only=False, edge_probability=0.9)
+    empty = {sample_stream(spec.seed, "ensemble", index, 0).getrandbits(63) for index in (3, 7)}
+    monkeypatch.setattr(harness, "_sample_graph",
+                        lambda spec, seed: [] if seed in empty else _sample_graph(spec, seed))
+    calls = []
+    score = harness.functional_complexity
+    monkeypatch.setattr(harness, "functional_complexity",
+                        lambda *args, **kw: calls.append(args) or score(*args, **kw))
+    with pytest.raises(ValueError, match=(
+        "^graph 3: graph is disconnected: nodes 0 and 1 are in different components$"
+    )):
+        harness._report_rows((spec, None, range(10)))
+    assert len(calls) == 1
+
+
+def test_a_block_error_no_disconnected_graph_explains_propagates_unchanged(monkeypatch):
+    error = ValueError("not a connectivity failure")
+
+    def fail(*args, **kw):
+        raise error
+
+    monkeypatch.setattr(harness, "functional_complexity", fail)
+    with pytest.raises(ValueError) as raised:
+        harness._report_rows((er_spec(), None, range(5)))
+    assert raised.value is error
+
+
 def test_report_respects_policy():
     spec = er_spec(graph_count=3)
     policy = SamplingPolicy(sample_count=200, exhaustive_limit=1)
