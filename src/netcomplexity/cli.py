@@ -54,6 +54,7 @@ from .lattice import (
     BOUNDARIES,
     NEIGHBORHOODS,
     ChannelLattice,
+    StabilityRow,
     centralized_allocate,
     conflict_count,
     read_lattice,
@@ -342,11 +343,10 @@ def _width_height(dims: str) -> tuple[int, int]:
     return width, height
 
 
-def _fmt(value) -> str:
-    """One CSV cell; repr keeps floats round-trippable."""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+def _fmt(value):
+    """One CSV cell; repr keeps floats round-trippable, and csv.writer
+    writes the rest, None as an empty cell."""
+    return repr(value) if isinstance(value, float) else value
 
 
 def _provenance(command: str, params: dict, seed_repr: str) -> list[str]:
@@ -471,7 +471,6 @@ def cmd_cfc(args) -> int:
 
 def cmd_son_stability(args) -> int:
     params = _resolve(args)
-    columns = ("instance", "row", "col", "forced_channel", "distance", "exceeded")
     seed_repr = str(params["seed"])
 
     instances = params["instances"]
@@ -486,17 +485,6 @@ def cmd_son_stability(args) -> int:
             channel_sample=params["channel_sample"],
             mapper=mapper,
         )
-    rows = [
-        (
-            r.instance,
-            r.cell[0],
-            r.cell[1],
-            r.forced_channel,
-            "" if r.distance is None else r.distance,
-            r.distance is None,
-        )
-        for r in study.rows
-    ]
     hist = " ".join(f"{d}:{n}" for d, n in study.histogram)
     summary = [
         "# summary:",
@@ -509,7 +497,7 @@ def cmd_son_stability(args) -> int:
         f"# max_distance: {study.max_distance}",
         f"# budget: {params['budget']}",
     ]
-    _write_csv(args, params, seed_repr, columns, rows, summary)
+    _write_csv(args, params, seed_repr, StabilityRow._fields, study.rows, summary)
     return 0
 
 

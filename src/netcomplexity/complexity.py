@@ -10,15 +10,16 @@ scales.  Complete graphs (R = 1) have no scale to evaluate and score 0 by
 convention, reported with a degenerate flag.
 
 functional_complexity scores one graph or a block of graphs with one node
-count.  A block shares each exhaustive size's member array: the graphs that
-need the same scales run as one stack through each kernel pass, and each
-graph's cell is summed on its own contiguous row, in the order a one-graph
-evaluation sums it.  Sampled cells are evaluated graph by graph, each on its
-own draw stream.
+count.  A block reads each subset source once: an exhaustive size's member
+array serves the graphs that need the same scales as one stack, and a
+sampled (scale, size) cell's draw stream serves every graph that has that
+scale.  Each graph's cell is summed on its own contiguous row, in the order
+a one-graph evaluation sums it.
 """
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 import math
@@ -238,12 +239,24 @@ class MeanInformation(NamedTuple):
     sampled: bool
 
 
+def _subset_source(n: int, size: int, r: int, policy: SamplingPolicy):
+    """(batches, count, sampled) for the size-subsets of n nodes: every
+    subset of an exhaustive size, or the draws of the (r, size) stream of a
+    sampled one, an independent stream per cell derived from the policy
+    seed."""
+    if policy.sampled(n, size):
+        rng = sample_stream(policy.seed, r, size)
+        count = policy.sample_count
+        return _sampled_batches(n, size, count, rng), count, True
+    return _exhaustive_batches(n, size), math.comb(n, size), False
+
+
 def _scale_means(
     adj: np.ndarray, batches, r: int, total_count: int, sampled: bool, first: int = 1
-) -> tuple[list[list[float]], list[list[float]]]:
-    """Mean information and its standard error at scales first..r over one
-    stream of member batches, for each graph of the (G, n, n) stack adj:
-    entry [k][g] of each holds scale first+k of graph g."""
+) -> list[list[MeanInformation]]:
+    """The cells at scales first..r over one stream of member batches, for
+    each graph of the (G, n, n) stack adj: entry [k][g] holds scale first+k
+    of graph g."""
     acc = acc_sq = 0.0
     seen = 0
     for members in batches:
@@ -261,7 +274,8 @@ def _scale_means(
         stderrs = np.sqrt(var / seen)
     else:
         stderrs = np.zeros_like(acc)
-    return (acc / seen).tolist(), stderrs.tolist()
+    return [[MeanInformation(m, e, seen, sampled) for m, e in zip(ms, es)]
+            for ms, es in zip((acc / seen).tolist(), stderrs.tolist())]
 
 
 def mean_information(
@@ -283,16 +297,8 @@ def mean_information(
         raise ValueError(f"scale r must be >= 1, got {r}")
     if not (1 + r <= size <= n):
         raise ValueError(f"size {size} outside {1 + r}..{n} for scale r={r}")
-    adj = _dense_adjacency(g)
-    if policy.sampled(n, size):
-        rng = sample_stream(policy.seed, r, size)
-        batches = _sampled_batches(n, size, policy.sample_count, rng)
-        total, sampled = policy.sample_count, True
-    else:
-        batches = _exhaustive_batches(n, size)
-        total, sampled = math.comb(n, size), False
-    values, stderrs = _scale_means(adj[None], batches, r, total, sampled, first=r)
-    return MeanInformation(values[0][0], stderrs[0][0], total, sampled)
+    batches, count, sampled = _subset_source(n, size, r, policy)
+    return _scale_means(_dense_adjacency(g)[None], batches, r, count, sampled, r)[0][0]
 
 
 # ---------------------------------------------------------------------------
@@ -365,15 +371,17 @@ def functional_complexity(
 
 def _block_means(
     block: list[FunctionalTopology], diameters: list[int], policy: SamplingPolicy
-) -> list[dict[tuple[int, int], tuple[float, float, int, bool]]]:
-    """(mean, stderr, subset_count, sampled) of each graph's (scale, size)
-    cells, keyed (r, size); empty for graphs of diameter < 2.
+) -> list[dict[tuple[int, int], MeanInformation]]:
+    """Each graph's (scale, size) cells, keyed (r, size); empty for graphs
+    of diameter < 2.
 
-    An exhaustive size is enumerated once for all its scales and shared by
-    every graph of the block: the graphs are stacked in diameter order, so
-    those that need the same scales 1..top, top = min(R - 1, size - 1), form
-    one run of the stack and one kernel call per member batch.  Sampled
-    cells keep one draw stream each and are evaluated graph by graph.
+    The graphs are stacked in diameter order, so the graphs that need scale
+    r of a size, top = min(R - 1, size - 1) >= r, form the tail of the
+    stack, and each job scores one slice of it over one subset source:
+    - an exhaustive size is enumerated once for all its scales: one job per
+      run of equal top covers scales 1..top;
+    - a sampled size keeps one draw stream per scale, read once: one job
+      per scale r covers the tail whose top reaches r.
     """
     means: list[dict] = [{} for _ in block]
     order = sorted((d, i) for i, d in enumerate(diameters) if d >= 2)
@@ -384,25 +392,25 @@ def _block_means(
     for size in range(2, n + 1):
         tops = [min(d - 1, size - 1) for d, _ in order]
         if policy.sampled(n, size):
-            for (_, i), top in zip(order, tops):
-                for r in range(1, top + 1):
-                    means[i][r, size] = mean_information(block[i], size, r, policy)
-            continue
-        count = math.comb(n, size)
-        lo = 0
-        for top, run in itertools.groupby(tops):
-            hi = lo + len(list(run))
-            batches = _exhaustive_batches(n, size)
-            values, _ = _scale_means(adj[lo:hi], batches, top, count, False)
-            for r, row in enumerate(values, 1):
-                for (_, i), value in zip(order[lo:hi], row):
-                    means[i][r, size] = (value, 0.0, count, False)
-            lo = hi
+            jobs = [(r, r, bisect.bisect_left(tops, r), len(tops))
+                    for r in range(1, tops[-1] + 1)]
+        else:
+            jobs, lo = [], 0
+            for top, run in itertools.groupby(tops):
+                hi = lo + len(list(run))
+                jobs.append((1, top, lo, hi))
+                lo = hi
+        for first, top, lo, hi in jobs:
+            batches, count, sampled = _subset_source(n, size, top, policy)
+            rows = _scale_means(adj[lo:hi], batches, top, count, sampled, first)
+            for r, row in enumerate(rows, first):
+                for (_, i), cell in zip(order[lo:hi], row):
+                    means[i][r, size] = cell
     return means
 
 
 def _profile(
-    n: int, r_max: int, means: dict[tuple[int, int], tuple[float, float, int, bool]]
+    n: int, r_max: int, means: dict[tuple[int, int], MeanInformation]
 ) -> ComplexityProfile:
     """A graph's profile from its diameter and cell means."""
     if r_max < 2:
@@ -412,7 +420,7 @@ def _profile(
     cells: list[ScaleCell] = []
     total = 0.0
     for r in range(1, r_max):
-        whole_info = means[r, n][0]  # the single full-size subset
+        whole_info = means[r, n].value  # the single full-size subset
         for size in range(1 + r, n + 1):
             value, stderr, subset_count, sampled = means[r, size]
             baseline = (r + 1 - size) / (r + 1 - n) * whole_info

@@ -44,21 +44,39 @@ class FunctionalTopology:
 
     @cached_property
     def _first_row(self) -> list[int]:
-        """Hop distances from node 0 in the undirected view; it reaches
-        every node exactly when the graph is connected.  is_connected and
+        """Hop distances from node 0 in the undirected view; _unreached and
         _distance_rows share this one pass."""
         return _bfs_distances(self.undirected_neighbors, 0)
 
     @cached_property
+    def _unreached(self) -> int | None:
+        """The lowest node that node 0 cannot reach in the undirected view,
+        None when the graph is connected.
+
+        From N - 1 edges on it reads _first_row, the first pass of
+        _distance_rows.  Fewer edges cannot connect N nodes, so it searches
+        node 0's component among the nodes the edges name alone: a header
+        of 10^9 nodes builds nothing per node."""
+        if len(self.edges) >= self.node_count - 1:
+            first = self._first_row
+            return first.index(-1) if -1 in first else None
+        ids = sorted({0, *itertools.chain.from_iterable(self.edges)})
+        local = {v: k for k, v in enumerate(ids)}
+        adj: list[list[int]] = [[] for _ in ids]
+        for u, v in self.edges:
+            adj[local[u]].append(local[v])
+            adj[local[v]].append(local[u])
+        reached = {v for v, d in zip(ids, _bfs_distances(adj, 0)) if d >= 0}
+        return next(v for v in itertools.count() if v not in reached)
+
+    @cached_property
     def _distance_rows(self) -> tuple[list[int], ...]:
-        """Hop distances of the undirected view, one row per source node;
-        only row 0 when the graph is disconnected.  diameter and
-        average_path_length share this one all-pairs pass."""
-        first = self._first_row
-        if -1 in first:
-            return (first,)
+        """Hop distances of a connected graph's undirected view, one row per
+        source node.  diameter and average_path_length share this one
+        all-pairs pass."""
         adj = self.undirected_neighbors
-        return (first, *(_bfs_distances(adj, s) for s in range(1, self.node_count)))
+        rest = (_bfs_distances(adj, s) for s in range(1, self.node_count))
+        return (self._first_row, *rest)
 
 
 def build_topology(
@@ -115,7 +133,7 @@ def _bfs_distances(adj: Sequence[Sequence[int]], source: int) -> list[int]:
 
 def is_connected(g: FunctionalTopology) -> bool:
     """Connectivity of the undirected view."""
-    return -1 not in g._first_row
+    return g._unreached is None
 
 
 def _distances(g: FunctionalTopology, metric: str) -> tuple[list[int], ...]:
@@ -123,13 +141,12 @@ def _distances(g: FunctionalTopology, metric: str) -> tuple[list[int], ...]:
     graphs."""
     if g.node_count < 2:
         raise ValueError(f"{metric} is undefined for a single-node graph")
-    rows = g._distance_rows
-    if -1 in rows[0]:
+    if g._unreached is not None:
         raise ValueError(
-            f"graph is disconnected: nodes 0 and {rows[0].index(-1)} "
+            f"graph is disconnected: nodes 0 and {g._unreached} "
             "are in different components"
         )
-    return rows
+    return g._distance_rows
 
 
 def diameter(g: FunctionalTopology) -> int:

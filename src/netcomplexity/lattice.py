@@ -14,7 +14,7 @@ import random
 from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from typing import Callable, Iterable
+from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
 
@@ -343,12 +343,16 @@ def repair_distance(
 # stability experiment
 
 
-@dataclass(frozen=True)
-class StabilityRow:
+class StabilityRow(NamedTuple):
+    """One perturbation's repair distance, its fields in CSV column order;
+    distance is None, and exceeded True, when the search budget ran out."""
+
     instance: int
-    cell: tuple[int, int]
+    row: int
+    col: int
     forced_channel: int
     distance: int | None
+    exceeded: bool
 
 
 @dataclass(frozen=True)
@@ -425,14 +429,8 @@ def stability_instance_rows(
     for cell in cells:
         for ch in channels:
             rec = repair_distance(lat, cell, ch, budget)
-            rows.append(
-                StabilityRow(
-                    instance=instance,
-                    cell=cell,
-                    forced_channel=ch,
-                    distance=rec.distance,
-                )
-            )
+            rows.append(StabilityRow(instance, *cell, ch, rec.distance,
+                                     rec.distance is None))
     return rows
 
 

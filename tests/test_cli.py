@@ -295,6 +295,29 @@ def test_cfc_disconnected_graph_exits_two(tmp_path, capsys):
     assert "disconnected" in capsys.readouterr().err
 
 
+def test_cfc_huge_sparse_header_exits_two_without_per_node_work(tmp_path, capsys):
+    # a header of 10^9 nodes with one edge is disconnected by its edge count;
+    # run in a child under a 1 GiB address-space limit, where building
+    # anything per node fails, with the same message a 5-node file gives
+    small = tmp_path / "small.edges"
+    small.write_text("N 5 undirected\n0 1\n")
+    assert run_cli("cfc", "--graph", small) == 2
+    expected = capsys.readouterr().err
+    assert expected == "error: graph is disconnected: nodes 0 and 2 are in different components\n"
+    huge = tmp_path / "huge.edges"
+    huge.write_text("N 1000000000 undirected\n0 1\n")
+    script = (
+        "import resource, sys; "
+        "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)); "
+        "from netcomplexity.cli import main; "
+        f"sys.exit(main(['cfc', '--graph', {str(huge)!r}]))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=60,
+    )
+    assert (proc.returncode, proc.stderr, proc.stdout) == (2, expected, "")
+
+
 def test_cfc_missing_graph_flag_exits_two(capsys):
     assert run_cli("cfc") == 2
     capsys.readouterr()
@@ -380,7 +403,7 @@ def test_stability_centralized_matches_library(tmp_path):
     assert len(data) == len(study.rows)
     for line, row in zip(data, study.rows):
         assert (int(line[0]), int(line[1]), int(line[2]), int(line[3])) == (
-            row.instance, row.cell[0], row.cell[1], row.forced_channel,
+            row.instance, row.row, row.col, row.forced_channel,
         )
         if row.distance is None:
             assert line[4] == "" and line[5] == "True"
@@ -828,6 +851,11 @@ def test_worker_count_does_not_change_bytes(tmp_path):
         corr = tmp_path / f"corr_{workers}.csv"
         assert run_cli("correlate", "--graphs", 10, "--nodes", 8,
                        "--workers", workers, "--out", corr) == 0
+        # two blocks whose sampled cells read shared draw streams
+        sampled = tmp_path / f"sampled_{workers}.csv"
+        assert run_cli("correlate", "--graphs", 40, "--nodes", 8,
+                       "--mode", "uniform-sample", "--samples", 50,
+                       "--workers", workers, "--out", sampled) == 0
         stab = tmp_path / f"stab_{workers}.csv"
         assert run_cli("son-stability", "--dims", "5x5", "--channels", 5,
                        "--instances", 3, "--budget", 2,
@@ -835,9 +863,8 @@ def test_worker_count_does_not_change_bytes(tmp_path):
         abm = tmp_path / f"abm_{workers}.csv"
         assert run_cli("abm", "--iterations", 60, "--seeds", "1..4",
                        "--workers", workers, "--out", abm) == 0
-        outputs.append(
-            (corr.read_bytes(), stab.read_bytes(), abm.read_bytes())
-        )
+        outputs.append((corr.read_bytes(), sampled.read_bytes(),
+                        stab.read_bytes(), abm.read_bytes()))
     assert outputs[0] == outputs[1]
 
 

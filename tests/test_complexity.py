@@ -484,6 +484,32 @@ def test_block_with_sampled_sizes_equals_oracle(limit):
         assert profile_key(prof) == oracle_key(g, pol)
 
 
+def test_block_draws_each_sampled_cell_once(monkeypatch):
+    # five relabeled 7-node paths, all of diameter 6: limit 1 samples every
+    # size below 7, and each sampled (scale, size) cell draws its stream
+    # once for the whole block, not once per graph
+    draws = []
+    sampled_batches = complexity._sampled_batches
+
+    def counted(n, size, count, rng):
+        draws.append(size)
+        return sampled_batches(n, size, count, rng)
+
+    monkeypatch.setattr(complexity, "_sampled_batches", counted)
+    rng = random.Random(97)
+    block = []
+    for _ in range(5):
+        order = rng.sample(range(7), 7)
+        block.append(build_topology(7, list(zip(order, order[1:]))))
+    pol = SamplingPolicy(sample_count=20, exhaustive_limit=1, seed=2)
+    profiles = functional_complexity(block, pol)
+    sampled = [c.size for c in profiles[0].cells if c.sampled]
+    assert len(sampled) == 5 + 4 + 3 + 2 + 1
+    assert sorted(draws) == sorted(sampled)
+    for g, prof in zip(block, profiles, strict=True):
+        assert profile_key(prof) == oracle_key(g, pol)
+
+
 @pytest.mark.parametrize("directed", [False, True])
 def test_stacked_kernel_equals_oracle_kernel(directed, monkeypatch):
     rng = random.Random(89)

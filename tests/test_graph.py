@@ -188,6 +188,23 @@ def test_disconnected_graph_costs_one_bfs(monkeypatch):
     assert calls == [0]
 
 
+def test_sparse_graph_names_its_first_unreached_node_from_its_edges():
+    # below N - 1 edges the search stays in node 0's component, reached
+    # through higher ids too; it names the node a full BFS row names
+    rng = random.Random(31)
+    graphs = [build_topology(50, [(0, 40), (40, 1), (1, 2), (5, 6)])]
+    for _ in range(40):
+        n = rng.randint(2, 12)
+        pairs = list(itertools.combinations(range(n), 2))
+        graphs.append(build_topology(n, rng.sample(pairs, rng.randint(0, n - 2))))
+    for g in graphs:
+        assert not is_connected(g)
+        row = graph_module._bfs_distances(g.undirected_neighbors, 0)
+        with pytest.raises(ValueError, match=f"nodes 0 and {row.index(-1)} are in"):
+            diameter(g)
+    assert graphs[0]._unreached == 3
+
+
 def test_average_degree_values():
     assert average_degree(path(4)) == pytest.approx(1.5, abs=1e-15)
     assert average_degree(build_topology(5, [])) == 0.0
