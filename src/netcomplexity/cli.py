@@ -47,7 +47,6 @@ from .harness import (
     EnsembleSpec,
     ReportRow,
     correlation_report,
-    report_blocks,
 )
 from .lattice import (
     ALLOCATORS,
@@ -65,6 +64,13 @@ from .lattice import (
 
 GENERATORS = ("son", "iid")
 SAMPLING_MODES = ("exhaustive", "uniform-sample")
+
+# Size ceilings, each checked before anything of that size is built.  Each
+# admits every documented run; runs near them peaked at 0.3-0.7 GB, where an
+# unbounded size ends in MemoryError or runs for hours.
+LATTICE_CELL_CEILING = 1 << 20  # cells of one --dims lattice
+POOLED_CELL_CEILING = 1 << 24  # excess-entropy cells over all its lattices
+NODE_CEILING = 512  # correlate --nodes
 
 
 # ---------------------------------------------------------------------------
@@ -108,6 +114,10 @@ def _dims(value) -> str:
         width = height = 0
     if width < 1 or height < 1:
         raise ValueError("a WxH string of positive sides such as 8x8")
+    if width * height > LATTICE_CELL_CEILING:
+        raise ValueError(
+            f"at most {LATTICE_CELL_CEILING} cells (the lattice cell ceiling)"
+        )
     return f"{width}x{height}"
 
 
@@ -164,6 +174,7 @@ class Param:
     config: bool = True
     required: bool = False
     minimum: float | None = None
+    maximum: int | None = None
 
     def check(self, value):
         """The resolved value; a ValueError names the parameter.  null is
@@ -181,6 +192,11 @@ class Param:
             )
         if self.minimum is not None and resolved < self.minimum:
             raise ValueError(f"{self.name} must be >= {self.minimum}, got {value!r}")
+        if self.maximum is not None and resolved > self.maximum:
+            raise ValueError(
+                f"{self.name} must be at most {self.maximum} "
+                f"(the {self.name} ceiling), got {value!r}"
+            )
         return resolved
 
     def add_to(self, parser: argparse.ArgumentParser) -> None:
@@ -285,7 +301,7 @@ COMMANDS = {
     )),
     "correlate": ("complexity vs classical metrics", _with_shared(
         Param("kind", _text, "erdos-renyi", choices=ENSEMBLE_KINDS),
-        Param("nodes", _integer, 10, minimum=2),
+        Param("nodes", _integer, 10, minimum=2, maximum=NODE_CEILING),
         Param("graphs", _integer, 200, minimum=0),
         Param("edge_probability", _number, None),
         Param("ring_degree", _integer, None),
@@ -391,20 +407,20 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-@contextmanager
-def _mapper(workers: int, tasks: int):
-    """map, or a process pool's map with at most one worker per task and
-    usable CPU.
+def _mapper(workers: int):
+    """A map(fn, tasks) that runs a process pool of min(workers, len(tasks),
+    usable CPUs) workers, or is the builtin map when that is below 2.
 
     The size is clamped before the pool exists: under the fork start method
     the pool forks all max_workers processes at its first submit.
     """
-    size = min(workers, tasks, _usable_cpus())
-    if size > 1:
+    def pool_map(fn, tasks):
+        size = min(workers, len(tasks), _usable_cpus())
+        if size < 2:
+            return map(fn, tasks)
         with ProcessPoolExecutor(max_workers=size) as pool:
-            yield pool.map
-    else:
-        yield map
+            return list(pool.map(fn, tasks))
+    return pool_map
 
 
 def _load_config(path: str | None) -> dict:
@@ -473,18 +489,16 @@ def cmd_son_stability(args) -> int:
     params = _resolve(args)
     seed_repr = str(params["seed"])
 
-    instances = params["instances"]
     width, height = _width_height(params["dims"])
-    with _mapper(args.workers, instances) as mapper:
-        study = stability_experiment(
-            params["allocator"], width, height, params["channels"],
-            params["neighborhood"], instance_count=instances,
-            seed=params["seed"], budget=params["budget"],
-            max_sweeps=params["max_sweeps"], boundary=params["boundary"],
-            cell_sample=params["cell_sample"],
-            channel_sample=params["channel_sample"],
-            mapper=mapper,
-        )
+    study = stability_experiment(
+        params["allocator"], width, height, params["channels"],
+        params["neighborhood"], instance_count=params["instances"],
+        seed=params["seed"], budget=params["budget"],
+        max_sweeps=params["max_sweeps"], boundary=params["boundary"],
+        cell_sample=params["cell_sample"],
+        channel_sample=params["channel_sample"],
+        mapper=_mapper(args.workers),
+    )
     hist = " ".join(f"{d}:{n}" for d, n in study.histogram)
     summary = [
         "# summary:",
@@ -541,6 +555,14 @@ def _generated_lattices(
     return samples
 
 
+def _check_pooled(cells: int) -> None:
+    if cells > POOLED_CELL_CEILING:
+        raise ValueError(
+            f"pooled cells must be at most {POOLED_CELL_CEILING} "
+            f"(the pooled cell ceiling), got {cells}"
+        )
+
+
 def cmd_excess_entropy(args) -> int:
     params = _resolve(args)
     paths, generator = params["lattices"], params["generate"]
@@ -552,6 +574,7 @@ def cmd_excess_entropy(args) -> int:
                       "max_sweeps")
     if generator:
         width, height = _width_height(params["dims"])
+        _check_pooled(params["count"] * width * height)
         samples = _generated_lattices(
             generator, width, height, params["channels"], params["count"],
             params["neighborhood"], params["seed"], params["max_sweeps"],
@@ -559,6 +582,7 @@ def cmd_excess_entropy(args) -> int:
         del params["lattices"]
     elif paths:
         samples = [read_lattice(p) for p in paths]
+        _check_pooled(sum(s.width * s.height for s in samples))
         for key in generator_keys:
             del params[key]
     else:
@@ -601,8 +625,7 @@ def cmd_abm(args) -> int:
     scenario = {key: value for key, value in params.items() if key != "seeds"}
 
     configs = [ScenarioConfig(**scenario, seed=s) for s in seeds]
-    with _mapper(args.workers, len(configs)) as mapper:
-        results = list(mapper(run_scenario, configs))
+    results = list(_mapper(args.workers)(run_scenario, configs))
 
     rows = [(res.config.seed, *rec) for res in results for rec in res.trace]
     summary = ["# summary:"]
@@ -646,8 +669,9 @@ def cmd_correlate(args) -> int:
         rewiring_probability=params["rewiring_probability"],
         attachment_count=params["attachment_count"],
     )
-    with _mapper(args.workers, len(report_blocks(spec.graph_count))) as mapper:
-        report = correlation_report(spec, policy=_policy(params), mapper=mapper)
+    report = correlation_report(
+        spec, policy=_policy(params), mapper=_mapper(args.workers),
+    )
 
     label_of = dict(METRIC_FIELDS)
     footer_rows = []
@@ -742,6 +766,11 @@ def main(argv=None) -> int:
         return 1
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        # the last resort: the size ceilings stop the known cases before
+        # they allocate
+        print(f"error: out of memory {exc}".rstrip(), file=sys.stderr)
         return 2
 
 

@@ -395,11 +395,8 @@ def _block_means(
             jobs = [(r, r, bisect.bisect_left(tops, r), len(tops))
                     for r in range(1, tops[-1] + 1)]
         else:
-            jobs, lo = [], 0
-            for top, run in itertools.groupby(tops):
-                hi = lo + len(list(run))
-                jobs.append((1, top, lo, hi))
-                lo = hi
+            jobs = [(1, t, bisect.bisect_left(tops, t), bisect.bisect_right(tops, t))
+                    for t in sorted(set(tops))]
         for first, top, lo, hi in jobs:
             batches, count, sampled = _subset_source(n, size, top, policy)
             rows = _scale_means(adj[lo:hi], batches, top, count, sampled, first)

@@ -101,19 +101,14 @@ def conditional_entropy_profile(
             f"alphabet {f_count} with context depth {max_context} overflows "
             "the dense code space"
         )
-    stack = np.stack([s.cells for s in samples]).astype(np.int64)
-    planes = [stack]
-    for dr, dc in offsets:
-        # value at offset (dr, dc) from each cell, toroidal wrap
-        planes.append(np.roll(stack, (-dr, -dc), axis=(1, 2)))
+    stack = np.stack([s.cells for s in samples]).astype(np.int64, copy=False)
     h: list[float] = []
-    for m in range(1, max_context + 1):
-        ctx = planes[1]
-        for i in range(2, m + 1):
-            ctx = ctx * f_count + planes[i]
-        joint = ctx * f_count + planes[0]
-        _, joint_counts = np.unique(joint.ravel(), return_counts=True)
-        _, ctx_counts = np.unique(ctx.ravel(), return_counts=True)
+    # depth M's code extends depth M-1's by one rolled plane (toroidal wrap)
+    ctx = 0
+    for dr, dc in offsets:
+        ctx = ctx * f_count + np.roll(stack, (-dr, -dc), axis=(1, 2))
+        _, joint_counts = np.unique(ctx * f_count + stack, return_counts=True)
+        _, ctx_counts = np.unique(ctx, return_counts=True)
         h.append(
             _entropy_of_count_vector(joint_counts)
             - _entropy_of_count_vector(ctx_counts)

@@ -1,0 +1,119 @@
+"""Memory bounds: size ceilings checked before allocating, and excess entropy
+whose peak memory does not grow with the context depth."""
+
+import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import netcomplexity
+from netcomplexity import cli
+
+from test_cli import run_cli
+
+SRC = str(Path(netcomplexity.__file__).resolve().parents[1])
+
+
+def run_bounded(argv, limit=None, timeout=60):
+    """cli.main(argv) in a child process, under an address-space limit of
+    limit bytes (none if None) and a timeout.  One BLAS thread keeps
+    OpenBLAS's per-thread buffers out of the address space."""
+    cap = "" if limit is None else (
+        f"resource.setrlimit(resource.RLIMIT_AS, ({limit}, {limit})); "
+    )
+    script = (
+        f"import resource, sys; {cap}"
+        "from netcomplexity.cli import main; sys.exit(main(sys.argv[1:]))"
+    )
+    path = os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=path)
+    return subprocess.run(
+        [sys.executable, "-c", script, *map(str, argv)],
+        capture_output=True, timeout=timeout, env=env,
+    )
+
+
+def test_excess_entropy_memory_does_not_grow_with_depth():
+    # 3,145,728 pooled cells at depth 16.  One rolled plane at a time needs
+    # about 250 MB of address space on numpy 2.4; a plane per depth needed
+    # about 630 MB.  The 384 MB limit admits only the first.
+    argv = ("excess-entropy", "--generate", "iid", "--dims", "512x512",
+            "--channels", 2, "--count", 12, "--mmax", 16)
+    free = run_bounded(argv)
+    assert free.returncode == 0, free.stderr.decode()
+    bounded = run_bounded(argv, limit=384 << 20)
+    assert bounded.returncode == 0, bounded.stderr.decode()
+    assert (hashlib.sha256(bounded.stdout).hexdigest()
+            == hashlib.sha256(free.stdout).hexdigest())
+
+
+@pytest.mark.parametrize("argv,message", [
+    (("correlate", "--graphs", 5, "--nodes", 100000),
+     "nodes must be at most 512 (the nodes ceiling), got 100000"),
+    (("excess-entropy", "--generate", "iid", "--dims", "3000x3000",
+      "--channels", 4, "--count", 16, "--mmax", 6),
+     "dims must be at most 1048576 cells (the lattice cell ceiling), "
+     "got '3000x3000'"),
+    (("excess-entropy", "--generate", "iid", "--dims", "1024x1024",
+      "--count", 17),
+     "pooled cells must be at most 16777216 (the pooled cell ceiling), "
+     "got 17825792"),
+    (("son-run", "--dims", "100000x100000", "--channels", 5, "--out", "-"),
+     "dims must be at most 1048576 cells (the lattice cell ceiling), "
+     "got '100000x100000'"),
+    (("son-stability", "--dims", "5000x5000", "--instances", 1,
+      "--cell-sample", 1, "--channel-sample", 1),
+     "dims must be at most 1048576 cells (the lattice cell ceiling), "
+     "got '5000x5000'"),
+], ids=["correlate-nodes", "excess-entropy-dims", "excess-entropy-pooled",
+        "son-run-dims", "son-stability-dims"])
+def test_oversized_input_exits_two_before_allocating(argv, message):
+    proc = run_bounded(argv, limit=1 << 30, timeout=15)
+    assert (proc.returncode, proc.stderr.decode(), proc.stdout) == (
+        2, f"error: {message}\n", b"",
+    )
+
+
+def test_ceilings_admit_their_own_size():
+    table = {p.name: p for p in cli.COMMANDS["son-run"][1]}
+    assert table["dims"].check("1024x1024") == "1024x1024"
+    with pytest.raises(ValueError, match="lattice cell ceiling"):
+        table["dims"].check("1025x1024")
+    nodes = {p.name: p for p in cli.COMMANDS["correlate"][1]}["nodes"]
+    assert nodes.check(512) == 512
+    with pytest.raises(ValueError, match="nodes ceiling"):
+        nodes.check(513)
+
+
+def test_pooled_ceiling_applies_to_lattice_files(tmp_path, monkeypatch, capsys):
+    # files are read before the check, but not stacked
+    monkeypatch.setattr(cli, "POOLED_CELL_CEILING", 128)
+    body = "8 8 3\n" + "0 1 2 0 1 2 0 1\n" * 8
+    paths = []
+    for i in range(3):
+        paths.append(tmp_path / f"l{i}.lat")
+        paths[-1].write_text(body)
+    assert run_cli("excess-entropy", *paths[:2], "--mmax", 2,
+                   "--out", tmp_path / "out.csv") == 0
+    assert run_cli("excess-entropy", *paths, "--mmax", 2) == 2
+    assert capsys.readouterr().err == (
+        "error: pooled cells must be at most 128 (the pooled cell ceiling), "
+        "got 192\n"
+    )
+
+
+@pytest.mark.parametrize("exc,line", [
+    (MemoryError(), "error: out of memory\n"),
+    (MemoryError("Unable to allocate 8.00 GiB"),
+     "error: out of memory Unable to allocate 8.00 GiB\n"),
+])
+def test_memory_error_exits_two(monkeypatch, capsys, exc, line):
+    def exhausted(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(cli, "estimate_excess_entropy", exhausted)
+    assert run_cli("excess-entropy", "--generate", "iid", "--dims", "4x4") == 2
+    assert capsys.readouterr().err == line
