@@ -332,13 +332,16 @@ COMMANDS = {
 def _resolve(args) -> dict:
     """The config parameters of args.command, each taken from its flag, else
     the --config file, else its default, and checked.  Flag-only parameters
-    are checked and set on args."""
+    are checked and set on args, and args.given names the parameters that a
+    flag or the config set."""
     table = COMMANDS[args.command][1]
     flags = vars(args)
     config = _load_config(flags.get("config"))
     unknown = sorted(set(config) - {p.name for p in table if p.config})
     if unknown:
         raise ValueError(f"unknown config keys: {', '.join(unknown)}")
+    # read before the loop below adds the flag-only parameters to flags
+    args.given = {p.name for p in table if p.name in flags or p.name in config}
     params = {}
     for p in table:
         if p.name in flags:
@@ -581,6 +584,9 @@ def cmd_excess_entropy(args) -> int:
         )
         del params["lattices"]
     elif paths:
+        for key in generator_keys[1:]:  # generate is null here
+            if key in args.given:
+                raise ValueError(f"{key} must be unset with lattice files")
         samples = [read_lattice(p) for p in paths]
         _check_pooled(sum(s.width * s.height for s in samples))
         for key in generator_keys:

@@ -96,29 +96,29 @@ def _information_batch(
     adj: np.ndarray, members: np.ndarray, r: int, first: int = 1
 ) -> np.ndarray:
     """Information per subset at scales first..r for an (S, j) array of
-    member indices, in one graph or in each graph of a block: adj is one
-    (n, n) matrix, giving an (r-first+1, S) result, or a stack (G, n, n),
-    giving (r-first+1, G, S).  Row k-first of the result holds scale k.
+    member indices in each graph of the (G, n, n) stack adj, as an
+    (r-first+1, G, S) array whose row k-first holds scale k.
 
     adj is I | A from _dense_adjacency, so the induced submatrices, gathered
     transposed through the flat adjacency by _one_hop, already hold one-hop
     reach with self-loops.  Reachability within k hops is (I | A)^k over
-    each submatrix: one float32 matmul per scale past first, re-binarized
-    each step, and (I | A)^first by binary exponentiation, floor(log2 first)
-    + popcount(first) - 1 products.  Every product of 0/1 matrices sums at
-    most j ones, so float32 is exact and both routes give the same matrix.
-    The reachers of each member are the row sums, taken as one matrix-vector
-    product with a row of ones; they are integers of at most j too.  A
-    member reached by c nodes contributes the binary entropy of c / j, read
-    from a table and summed along the member's C-contiguous row.
+    each submatrix, from re-binarized float32 matmuls: (I | A)^first by
+    squaring along the bits of first, high bit first, with one more hop at
+    each set bit (floor(log2 first) + popcount(first) - 1 products), then
+    one product by the one-hop stack per scale past first.  Every product
+    of 0/1 matrices sums at most j ones, so float32 is exact and any order
+    of products gives the same matrix.  The reachers of each member are the
+    row sums, taken as one matrix-vector product with a row of ones; they
+    are integers of at most j too.  A member reached by c nodes contributes
+    the binary entropy of c / j, read from a table and summed along the
+    member's C-contiguous row.
 
     A pass stacks the (graph, subset) rows of at most _CHUNK matrix entries:
     several whole graphs when one pass holds all S subsets, else slices of
     one graph's subsets.
     """
-    n = adj.shape[-1]
-    flat = adj.reshape(-1, n * n)
-    g_count = len(flat)
+    g_count, n, _ = adj.shape
+    flat = adj.reshape(g_count, n * n)
     s, j = members.shape
     table = _entropy_table(j)
     ones = np.ones(j, dtype=np.float32)
@@ -131,14 +131,11 @@ def _information_batch(
         for lo in range(0, s, step):
             m = members[lo:lo + step]
             one_hop = _one_hop(graphs, m, n)
-            reach, power, e = None, one_hop, first
-            while True:  # binary exponentiation, low bit first
-                if e & 1:
-                    reach = power if reach is None else _reach_product(reach, power)
-                e >>= 1
-                if not e:
-                    break
-                power = _reach_product(power, power)
+            reach = one_hop
+            for bit in f"{first:b}"[1:]:
+                reach = _reach_product(reach, reach)
+                if bit == "1":
+                    reach = _reach_product(reach, one_hop)
             for k in range(r - first + 1):
                 if k:
                     reach = _reach_product(reach, one_hop)
@@ -146,7 +143,7 @@ def _information_batch(
                 counts = np.matmul(reach.reshape(-1, j), ones).astype(np.intp)
                 info = table[counts.reshape(-1, j)].sum(axis=1)
                 out[k, g0:g0 + len(graphs), lo:lo + len(m)] = info.reshape(len(graphs), -1)
-    return out if adj.ndim == 3 else out[:, 0]
+    return out
 
 
 def _member_array(rows, take: int, size: int) -> np.ndarray:

@@ -1,9 +1,11 @@
 """CLI surface: exit codes, provenance headers, byte-identical reruns."""
 
 import json
+import os
 import subprocess
 import sys
 import types
+from pathlib import Path
 
 import pytest
 
@@ -21,12 +23,40 @@ from test_complexity import P4_COMPLEXITY
 from test_entropy import bounded_offsets
 
 
+SRC = str(Path(netcomplexity.__file__).resolve().parents[1])
+
+
 def run_cli(*argv):
     return main([str(a) for a in argv])
 
 
-def write_graph(path, n, edges):
-    write_edge_list(build_topology(n, edges), str(path))
+def run_python(*args, **kwargs):
+    """subprocess.run of this interpreter on args, keyword arguments passed
+    on.  pytest's pythonpath setting does not reach a child's environment,
+    so the child's PYTHONPATH starts with the directory this suite imports
+    netcomplexity from.  One BLAS thread keeps OpenBLAS's per-thread
+    buffers out of a limited address space."""
+    path = os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=path)
+    return subprocess.run([sys.executable, *args], env=env, **kwargs)
+
+
+def run_bounded(argv, limit=None, timeout=60, text=False):
+    """cli.main(argv) in a child process, under an address-space limit of
+    limit bytes (none if None) and a timeout, its output captured."""
+    cap = "" if limit is None else (
+        f"resource.setrlimit(resource.RLIMIT_AS, ({limit}, {limit})); "
+    )
+    script = (
+        f"import resource, sys; {cap}"
+        "from netcomplexity.cli import main; sys.exit(main(sys.argv[1:]))"
+    )
+    return run_python("-c", script, *map(str, argv), capture_output=True,
+                      timeout=timeout, text=text)
+
+
+def write_graph(path, n, edges, directed=False):
+    write_edge_list(build_topology(n, edges, directed=directed), str(path))
     return str(path)
 
 
@@ -176,6 +206,14 @@ BAD_INPUT = (
      "edge_probability must be unset for watts-strogatz"),
     (("correlate", "--kind", "barabasi-albert", "--attachment-count", 2),
      {"ring_degree": 4}, "ring_degree must be unset for barabasi-albert"),
+    # generator keys with lattice files, the first in table order named
+    # before any file is read
+    (("excess-entropy", "x.lat", "--count", 10 ** 9, "--channels", 9,
+      "--dims", "3x3"), None, "dims must be unset with lattice files"),
+    (("excess-entropy", "x.lat"), {"neighborhood": "moore"},
+     "neighborhood must be unset with lattice files"),
+    (("excess-entropy", "x.lat"), {"max_sweeps": 5, "count": 3},
+     "count must be unset with lattice files"),
 )
 
 
@@ -203,10 +241,8 @@ def test_bad_value_exits_two_naming_the_key(tmp_path, monkeypatch, capsys,
 
 
 def test_module_entry_point_runs():
-    proc = subprocess.run(
-        [sys.executable, "-m", "netcomplexity", "--version"],
-        capture_output=True, text=True,
-    )
+    proc = run_python("-m", "netcomplexity", "--version",
+                      capture_output=True, text=True)
     assert proc.returncode == 0
     assert "netcomplexity 0.1.0" in proc.stdout
 
@@ -235,9 +271,7 @@ def test_cli_import_leaves_networkx_unloaded(tmp_path):
         f"'--nodes', '8', '--out', {str(tmp_path / 'out.csv')!r}]) "
         f"for kind, flags in {kinds!r}.items()])"
     )
-    proc = subprocess.run(
-        [sys.executable, "-c", script], capture_output=True, text=True,
-    )
+    proc = run_python("-c", script, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[0, 0, 0]"
 
@@ -252,9 +286,7 @@ def test_sampled_cfc_leaves_numpy_random_unloaded(tmp_path):
         f"'--samples', '50', '--out', {str(tmp_path / 'out.csv')!r}]); "
         "print(code, 'numpy.random' in sys.modules)"
     )
-    proc = subprocess.run(
-        [sys.executable, "-c", script], capture_output=True, text=True,
-    )
+    proc = run_python("-c", script, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "0 False"
 
@@ -306,15 +338,7 @@ def test_cfc_huge_sparse_header_exits_two_without_per_node_work(tmp_path, capsys
     assert expected == "error: graph is disconnected: nodes 0 and 2 are in different components\n"
     huge = tmp_path / "huge.edges"
     huge.write_text("N 1000000000 undirected\n0 1\n")
-    script = (
-        "import resource, sys; "
-        "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)); "
-        "from netcomplexity.cli import main; "
-        f"sys.exit(main(['cfc', '--graph', {str(huge)!r}]))"
-    )
-    proc = subprocess.run(
-        [sys.executable, "-c", script], capture_output=True, text=True, timeout=60,
-    )
+    proc = run_bounded(("cfc", "--graph", huge), limit=1 << 30, timeout=60, text=True)
     assert (proc.returncode, proc.stderr, proc.stdout) == (2, expected, "")
 
 
@@ -875,6 +899,10 @@ def test_worker_count_does_not_change_bytes(tmp_path):
 PINNED_RUNS = (
     ("cfc", ("cfc", "--graph", "p6.edges", "--mode", "uniform-sample",
              "--samples", 40, "--limit", 5, "--seed", 3, "--out", "cfc.csv")),
+    # the directed path 0 -> 1 -> ... -> 11: diameter 11, sampled scales
+    # up to 10, reached by long chains of products
+    ("cfc-directed", ("cfc", "--graph", "d12.edges", "--mode", "uniform-sample",
+                      "--samples", 40, "--seed", 3, "--out", "cfc-directed.csv")),
     ("son-run", ("son-run", "--dims", "7x5", "--channels", 5,
                  "--neighborhood", "von-neumann", "--boundary", "bounded",
                  "--max-sweeps", 500, "--seed", 4, "--out", "son.lat")),
@@ -903,6 +931,7 @@ PINNED_RUNS = (
 
 PINNED_SHA256 = {
     "cfc": "88636f5e42d01a3bc15444cc7eacda1396fdf3b6cc13bdf078cc83cef562ec4e",
+    "cfc-directed": "cd6e85834b1759ecfe77728ea39eee784d5f610510aadc34cec012ae430d2cb6",
     "son-run": "409989f3ae1cebd7da180546b2515d4888fecdb2f598e353fdace107785645b3",
     "son-stability": "7465bcef0d9ea421e91b1549cc19a7649c3f902d2e29e9a2483e23b578e8b7e8",
     "excess-entropy-iid": "59f5bb064d2794555ccc23f139d25e89ad1a423f8acc435245798d6299692944",
@@ -918,6 +947,7 @@ def test_pinned_outputs_and_config_round_trip(tmp_path, monkeypatch):
 
     monkeypatch.chdir(tmp_path)
     write_graph("p6.edges", 6, [(i, i + 1) for i in range(5)])
+    write_graph("d12.edges", 12, [(i, i + 1) for i in range(11)], directed=True)
     for name, argv in PINNED_RUNS:
         assert run_cli(*argv) == 0, name
         out = argv[-1]

@@ -325,21 +325,21 @@ def test_profile_cells_equal_single_cell_evaluation(directed):
 def test_kernel_values_do_not_depend_on_chunking(monkeypatch):
     rng = random.Random(53)
     _, g = random_digraph(rng, 12, 0.25)
-    adj = complexity._dense_adjacency(g)
+    adj = complexity._dense_adjacency(g)[None]
     members = np.array(
         [sorted(rng.sample(range(12), 7)) for _ in range(700)], dtype=np.intp
     )
-    ref = complexity._information_batch(adj, members, 5)
+    ref = complexity._information_batch(adj, members, 5)[:, 0]
     assert ref.shape == (5, 700)
     cuts = sorted(rng.sample(range(1, 700), 6))
     parts = [
-        complexity._information_batch(adj, part, 5)
+        complexity._information_batch(adj, part, 5)[:, 0]
         for part in np.split(members, cuts)
     ]
     assert np.array_equal(np.concatenate(parts, axis=1), ref)
     for rows in (1, 3, 255, 1000):  # _CHUNK counts entries: rows of 7 x 7
         monkeypatch.setattr(complexity, "_CHUNK", rows * 7 * 7)
-        assert np.array_equal(complexity._information_batch(adj, members, 5), ref)
+        assert np.array_equal(complexity._information_batch(adj, members, 5)[:, 0], ref)
 
 
 @pytest.mark.parametrize("directed", [False, True])
@@ -362,14 +362,14 @@ def test_kernel_equals_oracle_kernel(directed, monkeypatch):
             ref = oracle_information_batch(adj, members, size - 1)
             for rows in (1, 3, 256):  # subsets per pass
                 monkeypatch.setattr(complexity, "_CHUNK", rows * size * size)
-                got = complexity._information_batch(adj, members, size - 1)
-                assert np.array_equal(got, ref), (n, size, rows)
+                got = complexity._information_batch(adj[None], members, size - 1)
+                assert np.array_equal(got[:, 0], ref), (n, size, rows)
 
 
 @pytest.mark.parametrize("directed", [False, True])
 def test_kernel_from_scale_equals_oracle_rows(directed, monkeypatch):
-    # scales first..r with (I|A)^first by binary exponentiation; first = r is
-    # what a sampled cell asks for
+    # scales first..r with (I|A)^first by squaring along the bits of first;
+    # first = r is what a sampled cell asks for
     rng = random.Random(67)
     for n in range(3, 11):
         if directed:
@@ -388,8 +388,26 @@ def test_kernel_from_scale_equals_oracle_rows(directed, monkeypatch):
                 monkeypatch.setattr(complexity, "_CHUNK", rows * size * size)
                 for r in range(1, size):
                     for first in range(1, r + 1):
-                        got = complexity._information_batch(adj, members, r, first)
-                        assert np.array_equal(got, ref[first - 1:r]), (n, size, r, first)
+                        got = complexity._information_batch(adj[None], members, r, first)
+                        assert np.array_equal(got[:, 0], ref[first - 1:r]), (n, size, r, first)
+
+
+def test_kernel_reaches_a_scale_in_logarithmically_many_products(monkeypatch):
+    # a sampled cell asks for scale r alone: floor(log2 r) + popcount(r) - 1
+    # products, where a chain from scale 1 would take r - 1
+    calls = []
+    product = complexity._reach_product
+    monkeypatch.setattr(complexity, "_reach_product",
+                        lambda a, b: calls.append(1) or product(a, b))
+    adj = complexity._dense_adjacency(path(20))[None]
+    members = np.arange(20)[None]
+    for r in range(1, 20):
+        calls.clear()
+        complexity._information_batch(adj, members, r, r)
+        assert len(calls) == r.bit_length() - 1 + bin(r).count("1") - 1, r
+        calls.clear()
+        complexity._information_batch(adj, members, r)
+        assert len(calls) == r - 1, r
 
 
 def test_one_batch_member_arrays_are_cached_read_only(monkeypatch):
@@ -410,7 +428,7 @@ def test_one_batch_member_arrays_are_cached_read_only(monkeypatch):
     assert not table.flags.writeable
     adj = complexity._dense_adjacency(star(6))
     assert np.array_equal(
-        complexity._information_batch(adj, members, 4),
+        complexity._information_batch(adj[None], members, 4)[:, 0],
         oracle_information_batch(adj, members.copy(), 4),
     )
 

@@ -2,38 +2,12 @@
 whose peak memory does not grow with the context depth."""
 
 import hashlib
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
-import netcomplexity
 from netcomplexity import cli
 
-from test_cli import run_cli
-
-SRC = str(Path(netcomplexity.__file__).resolve().parents[1])
-
-
-def run_bounded(argv, limit=None, timeout=60):
-    """cli.main(argv) in a child process, under an address-space limit of
-    limit bytes (none if None) and a timeout.  One BLAS thread keeps
-    OpenBLAS's per-thread buffers out of the address space."""
-    cap = "" if limit is None else (
-        f"resource.setrlimit(resource.RLIMIT_AS, ({limit}, {limit})); "
-    )
-    script = (
-        f"import resource, sys; {cap}"
-        "from netcomplexity.cli import main; sys.exit(main(sys.argv[1:]))"
-    )
-    path = os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=path)
-    return subprocess.run(
-        [sys.executable, "-c", script, *map(str, argv)],
-        capture_output=True, timeout=timeout, env=env,
-    )
+from test_cli import run_bounded, run_cli
 
 
 def test_excess_entropy_memory_does_not_grow_with_depth():
