@@ -21,7 +21,6 @@ from .graph import (
     is_connected,
     read_edge_list,
     sample_stream,
-    write_edge_list,
 )
 from .complexity import (
     ComplexityProfile,
@@ -32,7 +31,6 @@ from .complexity import (
 from .entropy import (
     EntropyProfile,
     conditional_entropy_profile,
-    empirical_entropy,
     estimate_excess_entropy,
     excess_entropy,
 )
@@ -53,8 +51,6 @@ from .abm import (
     PerceptionRecord,
     ScenarioConfig,
     ScenarioResult,
-    gap_comparison,
-    mac_comparison_config,
     run_scenario,
 )
 from .harness import (
@@ -81,7 +77,6 @@ __all__ = [
     "is_connected",
     "read_edge_list",
     "sample_stream",
-    "write_edge_list",
     # complexity
     "ComplexityProfile",
     "MeanInformation",
@@ -90,7 +85,6 @@ __all__ = [
     # entropy
     "EntropyProfile",
     "conditional_entropy_profile",
-    "empirical_entropy",
     "estimate_excess_entropy",
     "excess_entropy",
     # lattice
@@ -109,8 +103,6 @@ __all__ = [
     "PerceptionRecord",
     "ScenarioConfig",
     "ScenarioResult",
-    "gap_comparison",
-    "mac_comparison_config",
     "run_scenario",
     # harness
     "CorrelationReport",

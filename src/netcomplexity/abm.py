@@ -10,16 +10,15 @@ truth each iteration.
 
 from __future__ import annotations
 
-import math
 import random
 from bisect import bisect_left, insort
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .graph import mean_and_stderr, sample_stream
+from .graph import sample_stream
 
 INACTIVE, MOVING, STATIC = 0, 1, 2
 
@@ -79,22 +78,6 @@ class ScenarioConfig:
             raise ValueError("message_duration must be >= 1")
         if self.slots_per_iteration < 1:
             raise ValueError("slots_per_iteration must be >= 1")
-
-
-def mac_comparison_config(**overrides) -> ScenarioConfig:
-    """Reference scenario for contrasting random-access schemes.
-
-    The per-field defaults make Aloha and CSMA literally coincide (with
-    1-slot messages there is never an in-flight transmission to sense, and
-    persistence 1 removes the randomness that resolves contention), so the
-    comparison runs with 2-slot messages, persistence 0.05, and 10 channel
-    slots per iteration; every traffic parameter keeps its default.  Under
-    this load the two schemes separate decisively: sensing keeps a delivery
-    trickle alive while the blind scheme collapses under its own backlog.
-    """
-    base = {"persistence": 0.05, "message_duration": 2, "slots_per_iteration": 10}
-    base.update(overrides)
-    return ScenarioConfig(**base)
 
 
 class Car:
@@ -471,41 +454,3 @@ def run_scenario(config: ScenarioConfig, check_invariants: bool = False) -> Scen
         blocked_arrivals=world.blocked_arrivals,
         reports_generated=sensors.reports_generated,
     )
-
-
-def gap_comparison(
-    mac_a: str,
-    mac_b: str,
-    seeds,
-    config: ScenarioConfig,
-) -> dict:
-    """Mean-gap separation between two MACs over a common seed list.
-
-    Returns per-seed means, the two grand means, and a 95% confidence
-    interval on their difference treating per-seed means as independent
-    samples, so the seeds must be distinct.  The scenario config's own
-    mac/seed fields are overridden.
-    """
-    seeds = list(seeds)
-    if len(seeds) < 2:
-        raise ValueError("need at least two seeds to compare")
-    if len(set(seeds)) != len(seeds):
-        raise ValueError("seeds must not repeat")
-    means_a = [run_scenario(replace(config, mac=mac_a, seed=s)).mean_gap for s in seeds]
-    means_b = [run_scenario(replace(config, mac=mac_b, seed=s)).mean_gap for s in seeds]
-    mean_a, stderr_a = mean_and_stderr(means_a)
-    mean_b, stderr_b = mean_and_stderr(means_b)
-    diff = mean_a - mean_b
-    half = 1.96 * math.sqrt(stderr_a ** 2 + stderr_b ** 2)
-    return {
-        "mac_a": mac_a,
-        "mac_b": mac_b,
-        "seeds": seeds,
-        "means_a": means_a,
-        "means_b": means_b,
-        "mean_a": mean_a,
-        "mean_b": mean_b,
-        "difference": diff,
-        "ci_half_width": half,
-        "separated": abs(diff) > half,
-    }

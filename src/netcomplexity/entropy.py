@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -39,18 +39,6 @@ def context_offsets(depth: int) -> tuple[tuple[int, int], ...]:
         max(abs(o[0]), abs(o[1])), math.atan2(o[1], -o[0]) % (2 * math.pi),
     ))
     return tuple(offsets[:depth])
-
-
-def empirical_entropy(counts: Mapping) -> float:
-    """Plug-in Shannon entropy (bits) of a symbol->count table."""
-    if not counts:
-        raise ValueError("empty count table")
-    values = list(counts.values())
-    if any(c < 0 for c in values):
-        raise ValueError("negative count")
-    if sum(values) <= 0:
-        raise ValueError("count table sums to zero")
-    return _entropy_of_count_vector(np.array([c for c in values if c]))
 
 
 def _entropy_of_count_vector(counts: np.ndarray) -> float:

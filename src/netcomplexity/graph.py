@@ -294,12 +294,3 @@ def read_edge_list(path: str) -> FunctionalTopology:
         return build_topology(header[0], edges, directed=header[1])
     except ValueError as exc:
         raise InputFormatError(f"{path}: {exc}") from None
-
-
-def write_edge_list(g: FunctionalTopology, path: str) -> None:
-    """Write a graph in the edge-list format read_edge_list understands."""
-    mode = "directed" if g.directed else "undirected"
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"N {g.node_count} {mode}\n")
-        for u, v in g.edges:
-            fh.write(f"{u} {v}\n")

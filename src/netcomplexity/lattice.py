@@ -28,6 +28,20 @@ BOUNDARIES = ("toroidal", "bounded")
 ALLOCATORS = ("son", "centralized")
 
 
+def _check_geometry(
+    width: int, height: int, channel_count: int, neighborhood: str, boundary: str
+) -> None:
+    """Reject a lattice geometry that no ChannelLattice can hold."""
+    if width < 1 or height < 1:
+        raise ValueError(f"bad dimensions {width}x{height}")
+    if channel_count < 1:
+        raise ValueError("channel_count must be >= 1")
+    if neighborhood not in NEIGHBORHOODS:
+        raise ValueError(f"unknown neighborhood {neighborhood!r}")
+    if boundary not in BOUNDARIES:
+        raise ValueError(f"unknown boundary {boundary!r}")
+
+
 @dataclass(frozen=True)
 class ChannelLattice:
     """A width x height grid of channel ids in 0..channel_count-1."""
@@ -40,14 +54,8 @@ class ChannelLattice:
     boundary: str = "toroidal"
 
     def __post_init__(self) -> None:
-        if self.width < 1 or self.height < 1:
-            raise ValueError(f"bad dimensions {self.width}x{self.height}")
-        if self.channel_count < 1:
-            raise ValueError("channel_count must be >= 1")
-        if self.neighborhood not in NEIGHBORHOODS:
-            raise ValueError(f"unknown neighborhood {self.neighborhood!r}")
-        if self.boundary not in BOUNDARIES:
-            raise ValueError(f"unknown boundary {self.boundary!r}")
+        _check_geometry(self.width, self.height, self.channel_count,
+                        self.neighborhood, self.boundary)
         arr = np.asarray(self.cells, dtype=np.int64)
         if arr.shape != (self.height, self.width):
             raise ValueError(
@@ -122,8 +130,7 @@ def centralized_allocate(
     von Neumann: 2-channel checkerboard.  Moore: 4-channel 2x2 tile.  On a
     toroidal lattice the pattern only closes when both dimensions are even.
     """
-    if neighborhood not in NEIGHBORHOODS:
-        raise ValueError(f"unknown neighborhood {neighborhood!r}")
+    _check_geometry(width, height, channel_count, neighborhood, boundary)
     need = 2 if neighborhood == "von-neumann" else 4
     if channel_count < need:
         raise ValueError(
@@ -182,6 +189,7 @@ def son_allocate(
     """
     if max_sweeps < 0:
         raise ValueError("max_sweeps must be >= 0")
+    _check_geometry(width, height, channel_count, neighborhood, boundary)
     rng = random.Random(seed)
     cell_total = width * height
     grid = [rng.randrange(channel_count) for _ in range(cell_total)]
@@ -458,7 +466,13 @@ def stability_experiment(
         raise ValueError(f"unknown allocator {allocator!r}")
     if instance_count < 0:
         raise ValueError("instance_count must be >= 0")
-    # built before any task, so a run of zero instances checks it too
+    # the arguments and the centralized plan are checked before any task, so
+    # a run of zero instances checks them too
+    _check_geometry(width, height, channel_count, neighborhood, boundary)
+    for name, value in (("budget", budget), ("cell_sample", cell_sample),
+                        ("channel_sample", channel_sample)):
+        if value is not None and value < 0:
+            raise ValueError(f"{name} must be >= 0")
     plan = (
         centralized_allocate(width, height, channel_count, neighborhood, boundary)
         if allocator == "centralized" else None

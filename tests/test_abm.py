@@ -22,13 +22,15 @@ from netcomplexity.abm import (
     TrafficWorld,
     UniformStream,
     fixed_phase,
-    gap_comparison,
-    mac_comparison_config,
     queue_phase,
     run_scenario,
 )
 
 from oracles import OracleMacChannel
+
+# the MAC comparison settings, as `abm` flags in criterion 09: with 1-slot
+# messages and persistence 1, the per-flag defaults, Aloha and CSMA coincide
+COMPARISON = {"persistence": 0.05, "message_duration": 2, "slots_per_iteration": 10}
 
 
 def sensor_id(lane, index, road_length):
@@ -482,33 +484,24 @@ def test_ideal_channel_gap_is_identically_zero():
 
 
 def test_scenario_is_deterministic():
-    cfg = mac_comparison_config(iterations=200, mac="csma", seed=17)
+    cfg = ScenarioConfig(**COMPARISON, iterations=200, mac="csma", seed=17)
     assert run_scenario(cfg).trace == run_scenario(cfg).trace
-    other = mac_comparison_config(iterations=200, mac="csma", seed=18)
+    other = ScenarioConfig(**COMPARISON, iterations=200, mac="csma", seed=18)
     assert run_scenario(cfg).trace != run_scenario(other).trace
 
 
 def test_same_seed_gives_identical_traffic_across_macs():
-    a = run_scenario(mac_comparison_config(iterations=300, mac="aloha", seed=5))
-    b = run_scenario(mac_comparison_config(iterations=300, mac="csma", seed=5))
+    a, b = (run_scenario(ScenarioConfig(**COMPARISON, iterations=300, mac=mac, seed=5))
+            for mac in ("aloha", "csma"))
     assert [row.actual for row in a.trace] == [row.actual for row in b.trace]
     assert a.created == b.created and a.departed == b.departed
 
 
 def test_kpi_bounds():
-    res = run_scenario(mac_comparison_config(iterations=300, mac="csma", seed=1))
+    res = run_scenario(ScenarioConfig(**COMPARISON, iterations=300, mac="csma", seed=1))
     assert 0.0 <= res.delivery_ratio <= 1.0
     assert 0.0 <= res.collision_rate <= 1.0
     assert len(res.trace) == 300
-
-
-def test_gap_comparison_separates_the_macs():
-    rep = gap_comparison(
-        "aloha", "csma", range(6), mac_comparison_config(iterations=600)
-    )
-    assert rep["separated"]
-    assert abs(rep["difference"]) > rep["ci_half_width"]
-    assert len(rep["means_a"]) == len(rep["means_b"]) == 6
 
 
 # sha256 of each run's trace and summary, captured from the channel that
@@ -524,21 +517,11 @@ LONG_RUN_DIGESTS = {
 
 @pytest.mark.parametrize("mac,seed", sorted(LONG_RUN_DIGESTS))
 def test_long_runs_pinned(mac, seed):
-    res = run_scenario(mac_comparison_config(iterations=2000, mac=mac, seed=seed))
+    cfg = ScenarioConfig(**COMPARISON, iterations=2000, mac=mac, seed=seed)
+    res = run_scenario(cfg)
     body = repr(([tuple(row) for row in res.trace], res.delivery_ratio,
                  res.collision_rate, res.reports_generated, res.remaining))
     assert hashlib.sha256(body.encode()).hexdigest() == LONG_RUN_DIGESTS[mac, seed]
-
-
-def test_gap_comparison_needs_two_seeds():
-    with pytest.raises(ValueError):
-        gap_comparison("aloha", "csma", [1], ScenarioConfig(iterations=10))
-
-
-def test_gap_comparison_rejects_repeated_seeds():
-    # a repeated seed reruns one scenario, which would narrow the interval
-    with pytest.raises(ValueError, match="repeat"):
-        gap_comparison("aloha", "csma", [1, 2, 1], ScenarioConfig(iterations=10))
 
 
 def test_empty_denominators_give_nan():

@@ -22,12 +22,9 @@ from netcomplexity import (
     centralized_allocate,
     conflict_count,
     correlation_report,
-    empirical_entropy,
     estimate_excess_entropy,
     functional_complexity,
-    gap_comparison,
     is_connected,
-    mac_comparison_config,
     repair_distance,
     run_scenario,
     sample_stream,
@@ -35,6 +32,7 @@ from netcomplexity import (
     stability_experiment,
 )
 from netcomplexity.cli import main as cli_main
+from netcomplexity.entropy import _entropy_of_count_vector
 from netcomplexity.harness import report_blocks
 
 from oracles import oracle_functional_complexity, oracle_repair_distance
@@ -161,9 +159,9 @@ def test_criterion_05_entropy_anchors():
         monotone &= all(h[m + 1] <= h[m] + 1e-12 for m in range(len(h) - 1))
 
     # plug-in entropy equals the closed form on exact count tables
-    plug_a = abs(empirical_entropy({"a": 3, "b": 1})
+    plug_a = abs(_entropy_of_count_vector(np.array([3, 1]))
                  - (2.0 - 0.75 * math.log2(3.0)))
-    plug_b = abs(empirical_entropy(dict.fromkeys(range(8), 5)) - 3.0)
+    plug_b = abs(_entropy_of_count_vector(np.full(8, 5)) - 3.0)
     plugin_ok = plug_a <= 1e-12 and plug_b <= 1e-12
 
     ok = exact_zero and iid_ok and monotone and plugin_ok
@@ -284,7 +282,7 @@ def test_criterion_08_stability_comparison():
                    f"{elapsed:.0f}s")
 
 
-def test_criterion_09_abm_soundness():
+def test_criterion_09_abm_soundness(tmp_path):
     t0 = time.perf_counter()
     total_steps = 0
     gap_zero = True
@@ -295,14 +293,31 @@ def test_criterion_09_abm_soundness():
         )
         total_steps += res.config.iterations
         gap_zero &= all(rec.gap == 0 for rec in res.trace)
-    cmp = gap_comparison("aloha", "csma", seeds=range(30),
-                         config=mac_comparison_config())
+    # the MACs compared over seeds 0..29 through the CLI, at the settings
+    # where they differ (the per-flag defaults make them coincide); each
+    # run's aggregate line holds the mean over seeds and its standard error
+    aggregates = []
+    for mac in ("aloha", "csma"):
+        out = tmp_path / f"{mac}.csv"
+        assert cli_main([
+            "abm", "--mac", mac, "--persistence", "0.05",
+            "--message-duration", "2", "--slots-per-iteration", "10",
+            "--seeds", "0..29", "--workers", "2", "--out", str(out),
+        ]) == 0
+        line, = (line for line in out.read_text(encoding="utf-8").splitlines()
+                 if line.startswith("# aggregate: seeds=30 "))
+        fields = dict(field.split("=") for field in line.split()[2:])
+        aggregates.append((float(fields["mean_gap"]), float(fields["stderr"])))
+    (mean_a, se_a), (mean_b, se_b) = aggregates
+    diff = mean_a - mean_b
+    half = 1.96 * math.sqrt(se_a ** 2 + se_b ** 2)
+    separated = abs(diff) > half
     elapsed = time.perf_counter() - t0
-    ok = total_steps >= 10**5 and gap_zero and cmp["separated"] and elapsed < 120.0
+    ok = total_steps >= 10**5 and gap_zero and separated and elapsed < 120.0
     _report(9, ok, f"conservation+occupancy over {total_steps} steps/30 seeds, "
                    f"ideal gap==0 everywhere={gap_zero}, aloha-csma mean gap "
-                   f"diff={cmp['difference']:.2f}+/-{cmp['ci_half_width']:.2f} "
-                   f"(95% CI excludes 0: {cmp['separated']}), {elapsed:.0f}s "
+                   f"diff={diff:.2f}+/-{half:.2f} "
+                   f"(95% CI excludes 0: {separated}), {elapsed:.0f}s "
                    f"(budget 120s)")
 
 

@@ -12,10 +12,8 @@ import pytest
 import netcomplexity
 from netcomplexity import (
     ScenarioConfig,
-    build_topology,
     run_scenario,
     stability_experiment,
-    write_edge_list,
 )
 from netcomplexity.cli import main
 
@@ -56,7 +54,11 @@ def run_bounded(argv, limit=None, timeout=60, text=False):
 
 
 def write_graph(path, n, edges, directed=False):
-    write_edge_list(build_topology(n, edges, directed=directed), str(path))
+    """Write an edge-list file: the header 'N n mode', then one 'u v' line
+    per edge."""
+    mode = "directed" if directed else "undirected"
+    lines = [f"N {n} {mode}", *(f"{u} {v}" for u, v in edges)]
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
     return str(path)
 
 
@@ -151,6 +153,13 @@ BAD_INPUT = (
     (("correlate", "--graphs", 2, "--nodes", 4), {"connected_only": "no"},
      "connected_only"),
     (("abm", "--iterations", 5), {"seeds": []}, "seeds"),
+    (("cfc",), {"graph": 5}, "graph must be a string, got 5"),
+    (("abm", "--iterations", 5), {"seeds": 5},
+     "seeds must be a non-empty list of integers or text like '1..30', "
+     "'3,7,9' or '5', got 5"),
+    (("abm", "--iterations", 5), {"seeds": "1..x"},
+     "seeds must be a non-empty list of integers or text like '1..30', "
+     "'3,7,9' or '5', got '1..x'"),
     (("abm", "--iterations", 5, "--workers", 0), None, "workers"),
     (("abm", "--iterations", 5, "--workers", -3), None, "workers"),
     (("son-stability", "--channels", 0), None, "channels must be >= 1"),
@@ -451,6 +460,17 @@ def test_stability_checks_the_centralized_plan_without_instances(capsys):
     assert "does not close on a 3x3 torus" in errors[0]
 
 
+def test_stability_son_not_converging_exits_two(capsys):
+    assert run_cli(
+        "son-stability", "--dims", "6x6", "--channels", 5, "--instances", 2,
+        "--max-sweeps", 0,
+    ) == 2
+    assert capsys.readouterr().err == (
+        "error: son allocation did not converge for instance 0 "
+        "(29 conflicts after 0 sweeps)\n"
+    )
+
+
 def test_stability_infeasible_channels_exits_two(capsys):
     assert run_cli(
         "son-stability", "--allocator", "centralized",
@@ -514,6 +534,16 @@ def test_excess_entropy_huge_context_exits_two_without_building_it(monkeypatch, 
         "--mmax", 1_000_000,
     ) == 2
     assert "context depth 1000000 does not fit on a 5x5 lattice" in capsys.readouterr().err
+
+
+def test_excess_entropy_alphabet_overflowing_the_code_space_exits_two(capsys):
+    assert run_cli(
+        "excess-entropy", "--generate", "iid", "--dims", "4x4", "--channels", 100,
+        "--mmax", 9,
+    ) == 2
+    assert capsys.readouterr().err == (
+        "error: alphabet 100 with context depth 9 overflows the dense code space\n"
+    )
 
 
 def test_excess_entropy_son_generator_defaults_converge(capsys):

@@ -19,7 +19,6 @@ from netcomplexity import (
     mean_information,
     read_edge_list,
     sample_stream,
-    write_edge_list,
 )
 from netcomplexity import graph as graph_module
 from netcomplexity.graph import mean_and_stderr
@@ -47,6 +46,11 @@ def star(n):
 def test_build_rejects_out_of_range_node():
     with pytest.raises(ValueError, match="outside"):
         build_topology(3, [(0, 3)])
+
+
+def test_build_rejects_no_nodes():
+    with pytest.raises(ValueError, match="node_count must be >= 1, got 0"):
+        build_topology(0, [])
 
 
 def test_build_rejects_self_loop():
@@ -310,9 +314,9 @@ def test_policy_validation():
 
 def test_edge_list_roundtrip(tmp_path):
     g = build_topology(4, [(0, 1), (1, 2), (2, 3)])
-    p = str(tmp_path / "g.edges")
-    write_edge_list(g, p)
-    back = read_edge_list(p)
+    p = tmp_path / "g.edges"
+    p.write_text("N 4 undirected\n" + "".join(f"{u} {v}\n" for u, v in g.edges))
+    back = read_edge_list(str(p))
     assert back == g
 
 

@@ -58,6 +58,9 @@ def test_spec_validation():
     with pytest.raises(ValueError):
         EnsembleSpec(kind="watts-strogatz", node_count=8, graph_count=1,
                      ring_degree=8, rewiring_probability=0.1)
+    with pytest.raises(ValueError, match="rewiring_probability must lie in"):
+        EnsembleSpec(kind="watts-strogatz", node_count=8, graph_count=1,
+                     ring_degree=2, rewiring_probability=1.5)
     with pytest.raises(ValueError):
         EnsembleSpec(kind="barabasi-albert", node_count=8, graph_count=1,
                      attachment_count=0)

@@ -2,10 +2,12 @@
 
 import hashlib
 import random
+import types
 
 import numpy as np
 import pytest
 
+from netcomplexity import lattice
 from netcomplexity.graph import InputFormatError
 from netcomplexity.lattice import (
     ChannelLattice,
@@ -122,6 +124,21 @@ def test_lattice_validates_cell_range():
                        cells=np.array([[0, 1], [2, 0]]))
 
 
+@pytest.mark.parametrize("fields,message", [
+    ({"width": 0}, "bad dimensions 0x2"),
+    ({"height": -1}, "bad dimensions 2x-1"),
+    ({"channel_count": 0}, "channel_count must be >= 1"),
+    ({"neighborhood": "hex"}, "unknown neighborhood 'hex'"),
+    ({"boundary": "weird"}, "unknown boundary 'weird'"),
+    ({"cells": np.zeros((2, 3))}, r"cells shape \(2, 3\) does not match"),
+])
+def test_lattice_validates_geometry(fields, message):
+    args = {"width": 2, "height": 2, "channel_count": 2,
+            "cells": np.zeros((2, 2), dtype=int), **fields}
+    with pytest.raises(ValueError, match=message):
+        ChannelLattice(**args)
+
+
 # ---------------------------------------------------------------------------
 # son allocator
 
@@ -144,6 +161,28 @@ def test_son_converges_with_slack():
     assert report.converged
     assert conflict_count(lat) == 0
     assert report.conflicts == 0
+
+
+def no_draws(seed):
+    raise AssertionError("a random stream was built")
+
+
+@pytest.mark.parametrize("args,kwargs,message", [
+    ((4, 4, 5, "hex"), {}, "unknown neighborhood 'hex'"),
+    ((4, 4, 0), {}, "channel_count must be >= 1"),
+    ((4, 4, 3), {"boundary": "weird"}, "unknown boundary 'weird'"),
+    ((0, 4, 3), {}, "bad dimensions 0x4"),
+])
+def test_son_checks_the_geometry_before_any_draw(monkeypatch, args, kwargs, message):
+    # no stream, so no draw and no sweep, before the geometry is checked
+    monkeypatch.setattr(lattice, "random", types.SimpleNamespace(Random=no_draws))
+    with pytest.raises(ValueError, match=message):
+        son_allocate(*args, **kwargs)
+
+
+def test_son_rejects_negative_sweeps():
+    with pytest.raises(ValueError, match="max_sweeps must be >= 0"):
+        son_allocate(4, 4, 5, max_sweeps=-1)
 
 
 def test_son_single_channel_never_converges():
@@ -182,6 +221,10 @@ def test_repair_validates_channel():
     lat = centralized_allocate(4, 4, 2, "von-neumann")
     with pytest.raises(ValueError, match="forced channel"):
         repair_distance(lat, (0, 0), 2)
+    with pytest.raises(ValueError, match=r"cell \(4, 0\) outside the 4x4 lattice"):
+        repair_distance(lat, (4, 0), 0)
+    with pytest.raises(ValueError, match="budget must be >= 0"):
+        repair_distance(lat, (0, 0), 0, budget=-1)
 
 
 def test_repair_checkerboard_needs_full_flip():
@@ -365,13 +408,31 @@ def test_stability_son_deterministic():
     assert a == b
 
 
-def test_stability_rejects_unknown_allocator():
-    def no_tasks(fn, items):
-        raise AssertionError("a task was mapped")
+def no_tasks(fn, items):
+    raise AssertionError("a task was mapped")
 
+
+def test_stability_rejects_unknown_allocator():
     with pytest.raises(ValueError, match="unknown allocator 'bogus'"):
         stability_experiment("bogus", 4, 4, 5, instance_count=1, seed=0,
                              mapper=no_tasks)
+
+
+@pytest.mark.parametrize("kwargs,message", [
+    ({"neighborhood": "hex"}, "unknown neighborhood 'hex'"),
+    ({"cell_sample": -1}, "cell_sample must be >= 0"),
+    ({"channel_sample": -1}, "channel_sample must be >= 0"),
+    ({"budget": -1, "instance_count": 0}, "budget must be >= 0"),
+])
+def test_stability_checks_its_arguments_before_any_task(kwargs, message):
+    args = {"instance_count": 1, "mapper": no_tasks, **kwargs}
+    with pytest.raises(ValueError, match=message):
+        stability_experiment("son", 4, 4, 5, **args)
+
+
+def test_stability_rejects_negative_instance_count():
+    with pytest.raises(ValueError, match="instance_count must be >= 0"):
+        stability_experiment("son", 4, 4, 5, instance_count=-1)
 
 
 def test_stability_sampling_reduces_rows():
