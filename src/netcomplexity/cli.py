@@ -28,8 +28,6 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable
 
-import numpy as np
-
 from . import __version__
 from .abm import LIGHT_POLICIES, MACS, PerceptionRecord, ScenarioConfig, run_scenario
 from .complexity import ScaleCell, functional_complexity
@@ -39,7 +37,6 @@ from .graph import (
     SamplingPolicy,
     mean_and_stderr,
     read_edge_list,
-    sample_stream,
 )
 from .harness import (
     ENSEMBLE_KINDS,
@@ -51,18 +48,18 @@ from .harness import (
 from .lattice import (
     ALLOCATORS,
     BOUNDARIES,
+    GENERATORS,
     NEIGHBORHOODS,
-    ChannelLattice,
     StabilityRow,
     centralized_allocate,
     conflict_count,
+    instance_lattice,
     read_lattice,
     son_allocate,
     stability_experiment,
     write_lattice,
 )
 
-GENERATORS = ("son", "iid")
 SAMPLING_MODES = ("exhaustive", "uniform-sample")
 
 # Size ceilings, each checked before anything of that size is built.  Each
@@ -172,7 +169,6 @@ class Param:
     choices: tuple[str, ...] | None = None
     flag: str | None = None
     config: bool = True
-    required: bool = False
     minimum: float | None = None
     maximum: int | None = None
 
@@ -210,8 +206,6 @@ class Param:
             kwargs["type"] = float
         if self.choices is not None:
             kwargs["choices"] = self.choices
-        if self.required:
-            kwargs["required"] = True
         flag = self.flag or "--" + self.name.replace("_", "-")
         if flag.startswith("-"):
             parser.add_argument(flag, dest=self.name, **kwargs)
@@ -319,8 +313,6 @@ COMMANDS = {
         Param("dims", _dims, "10x10", "lattice size WxH"),
         *_ALLOCATION,
         _MAX_SWEEPS,
-        Param("out", _text, None, "output file, or - for stdout", config=False,
-              required=True),
     )),
 }
 
@@ -522,42 +514,6 @@ def cmd_son_stability(args) -> int:
 # excess-entropy
 
 
-def _generated_lattices(
-    generator: str,
-    width: int,
-    height: int,
-    channels: int,
-    count: int,
-    neighborhood: str,
-    seed: int,
-    max_sweeps: int,
-) -> list[ChannelLattice]:
-    samples: list[ChannelLattice] = []
-    for i in range(count):
-        inst_seed = sample_stream(seed, generator, i).getrandbits(48)
-        if generator == "son":
-            lat, report = son_allocate(
-                width, height, channels, neighborhood,
-                seed=inst_seed, max_sweeps=max_sweeps,
-            )
-            if not report.converged:
-                raise ValueError(
-                    f"generator instance {i} did not converge "
-                    f"({report.conflicts} conflicts after {report.sweeps} sweeps)"
-                )
-        else:  # iid
-            rng = np.random.default_rng(inst_seed)
-            lat = ChannelLattice(
-                width=width,
-                height=height,
-                channel_count=channels,
-                cells=rng.integers(0, channels, size=(height, width), dtype=np.int64),
-                neighborhood=neighborhood,
-            )
-        samples.append(lat)
-    return samples
-
-
 def _check_pooled(cells: int) -> None:
     if cells > POOLED_CELL_CEILING:
         raise ValueError(
@@ -578,10 +534,13 @@ def cmd_excess_entropy(args) -> int:
     if generator:
         width, height = _width_height(params["dims"])
         _check_pooled(params["count"] * width * height)
-        samples = _generated_lattices(
-            generator, width, height, params["channels"], params["count"],
-            params["neighborhood"], params["seed"], params["max_sweeps"],
-        )
+        samples = [
+            instance_lattice(
+                generator, generator, i, width, height, params["channels"],
+                params["neighborhood"], params["seed"], params["max_sweeps"],
+            )
+            for i in range(params["count"])
+        ]
         del params["lattices"]
     elif paths:
         for key in generator_keys[1:]:  # generate is null here
@@ -717,15 +676,15 @@ def cmd_son_run(args) -> int:
         lat = centralized_allocate(width, height, channels, neighborhood, boundary)
         converged, sweeps, conflicts = True, 0, conflict_count(lat)
 
-    # write_lattice prefixes each header line with "# " itself
-    header = [line[2:] for line in _provenance("son-run", params, str(seed))]
-    header += [
-        f"converged: {converged}",
-        f"sweeps: {sweeps}",
-        f"conflicts: {conflicts}",
+    status = [
+        f"# converged: {converged}",
+        f"# sweeps: {sweeps}",
+        f"# conflicts: {conflicts}",
     ]
     with _output(args.out) as fh:
-        write_lattice(lat, fh, header)
+        for line in _provenance(args.command, params, str(seed)) + status:
+            fh.write(line + "\n")
+        write_lattice(lat, fh)
     if not converged:
         print(
             f"warning: allocation still has {conflicts} conflicts "

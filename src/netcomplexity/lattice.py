@@ -11,7 +11,6 @@ one cell is forced to a given channel.
 from __future__ import annotations
 
 import random
-from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from typing import Callable, Iterable, NamedTuple
@@ -26,6 +25,7 @@ NEIGHBORHOODS = {
 }
 BOUNDARIES = ("toroidal", "bounded")
 ALLOCATORS = ("son", "centralized")
+GENERATORS = ("son", "iid")
 
 
 def _check_geometry(
@@ -391,6 +391,43 @@ def _summarize(rows: list[StabilityRow]) -> StabilityStudy:
     )
 
 
+def instance_lattice(
+    generator: str,
+    tag: str,
+    index: int,
+    width: int,
+    height: int,
+    channel_count: int,
+    neighborhood: str,
+    seed: int,
+    max_sweeps: int,
+    boundary: str = "toroidal",
+) -> ChannelLattice:
+    """Lattice index of a seeded sample, drawn from the stream (seed, tag,
+    index): a converged son allocation, or iid uniform channels."""
+    inst_seed = sample_stream(seed, tag, index).getrandbits(48)
+    if generator == "iid":
+        rng = np.random.default_rng(inst_seed)
+        return ChannelLattice(
+            width=width,
+            height=height,
+            channel_count=channel_count,
+            cells=rng.integers(0, channel_count, size=(height, width), dtype=np.int64),
+            neighborhood=neighborhood,
+            boundary=boundary,
+        )
+    lat, report = son_allocate(
+        width, height, channel_count, neighborhood,
+        seed=inst_seed, max_sweeps=max_sweeps, boundary=boundary,
+    )
+    if not report.converged:
+        raise ValueError(
+            f"son allocation did not converge for instance {index} "
+            f"({report.conflicts} conflicts after {report.sweeps} sweeps)"
+        )
+    return lat
+
+
 def stability_instance_rows(
     instance: int,
     plan: ChannelLattice | None,
@@ -412,19 +449,10 @@ def stability_instance_rows(
     restrict the scan to a seeded uniform subset, for lattices too large to
     perturb exhaustively.
     """
-    if plan is not None:
-        lat = plan
-    else:
-        inst_seed = sample_stream(seed, "instance", instance).getrandbits(48)
-        lat, report = son_allocate(
-            width, height, channel_count, neighborhood,
-            seed=inst_seed, max_sweeps=max_sweeps, boundary=boundary,
-        )
-        if not report.converged:
-            raise ValueError(
-                f"son allocation did not converge for instance {instance} "
-                f"({report.conflicts} conflicts after {report.sweeps} sweeps)"
-            )
+    lat = plan if plan is not None else instance_lattice(
+        "son", "instance", instance, width, height, channel_count,
+        neighborhood, seed, max_sweeps, boundary,
+    )
     cells = [(r, c) for r in range(height) for c in range(width)]
     channels = list(range(channel_count))
     if cell_sample is not None and cell_sample < len(cells):
@@ -469,7 +497,8 @@ def stability_experiment(
     # the arguments and the centralized plan are checked before any task, so
     # a run of zero instances checks them too
     _check_geometry(width, height, channel_count, neighborhood, boundary)
-    for name, value in (("budget", budget), ("cell_sample", cell_sample),
+    for name, value in (("budget", budget), ("max_sweeps", max_sweeps),
+                        ("cell_sample", cell_sample),
                         ("channel_sample", channel_sample)):
         if value is not None and value < 0:
             raise ValueError(f"{name} must be >= 0")
@@ -537,13 +566,9 @@ def read_lattice(path: str) -> ChannelLattice:
         raise InputFormatError(f"{path}: {exc}") from None
 
 
-def write_lattice(lat: ChannelLattice, path, header_lines: list[str] | None = None) -> None:
-    """Write the lattice file format to path, a file name or an open text
-    file; header_lines become leading comments."""
-    opened = nullcontext(path) if hasattr(path, "write") else open(path, "w", encoding="utf-8")
-    with opened as fh:
-        for line in header_lines or []:
-            fh.write(f"# {line}\n")
-        fh.write(f"{lat.width} {lat.height} {lat.channel_count}\n")
-        for row in lat.cells:
-            fh.write(" ".join(str(int(v)) for v in row) + "\n")
+def write_lattice(lat: ChannelLattice, fh) -> None:
+    """Write the lattice file body, the "W H F" line and then the rows, to
+    an open text file."""
+    fh.write(f"{lat.width} {lat.height} {lat.channel_count}\n")
+    for row in lat.cells:
+        fh.write(" ".join(str(int(v)) for v in row) + "\n")

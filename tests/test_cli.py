@@ -587,7 +587,10 @@ def test_excess_entropy_son_generator_not_converging_exits_two(capsys):
         "excess-entropy", "--generate", "son", "--dims", "4x4", "--channels", 1,
         "--max-sweeps", 1, "--mmax", 2,
     ) == 2
-    assert "error: generator instance 0 did not converge" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        "error: son allocation did not converge for instance 0 "
+        "(64 conflicts after 1 sweeps)\n"
+    )
 
 
 def test_son_run_centralized_reports_no_sweeps(tmp_path):
@@ -607,17 +610,14 @@ def test_son_run_warns_when_not_converged(tmp_path, capsys):
     assert "# converged: False" in lines and "# sweeps: 2" in lines
 
 
-def test_son_run_requires_out(capsys):
-    assert run_cli("son-run", "--dims", "4x4", "--channels", 5) == 1
-    capsys.readouterr()
-
-
 def test_son_run_dash_writes_stdout(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     flags = ("son-run", "--dims", "6x6", "--channels", 5, "--seed", 2)
     assert run_cli(*flags, "--out", "son.lat") == 0
-    assert run_cli(*flags, "--out", "-") == 0
-    assert capsys.readouterr().out.encode() == (tmp_path / "son.lat").read_bytes()
+    capsys.readouterr()
+    for out in (("--out", "-"), ()):
+        assert run_cli(*flags, *out) == 0
+        assert capsys.readouterr().out.encode() == (tmp_path / "son.lat").read_bytes()
     assert not (tmp_path / "-").exists()
 
 
@@ -944,6 +944,9 @@ PINNED_RUNS = (
                             "--dims", "12x10", "--channels", 3, "--count", 2,
                             "--neighborhood", "von-neumann", "--mmax", 3,
                             "--tolerance", 0.05, "--seed", 6, "--out", "ee.csv")),
+    ("excess-entropy-son", ("excess-entropy", "--generate", "son",
+                            "--dims", "6x6", "--channels", 5, "--count", 3,
+                            "--mmax", 3, "--seed", 3, "--out", "ees.csv")),
     ("excess-entropy-files", ("excess-entropy", "son.lat", "--mmax", 2,
                               "--out", "eef.csv")),
     ("abm", ("abm", "--iterations", 30, "--mac", "csma", "--persistence", 0.5,
@@ -965,6 +968,7 @@ PINNED_SHA256 = {
     "son-run": "409989f3ae1cebd7da180546b2515d4888fecdb2f598e353fdace107785645b3",
     "son-stability": "7465bcef0d9ea421e91b1549cc19a7649c3f902d2e29e9a2483e23b578e8b7e8",
     "excess-entropy-iid": "59f5bb064d2794555ccc23f139d25e89ad1a423f8acc435245798d6299692944",
+    "excess-entropy-son": "1afec31f12771e90905877c6e6c45a3a18ff6fe8a33d9adf8ece029c246eec74",
     "excess-entropy-files": "b95f7859eb3892cc356671e1b70d5f7d918222dd854e66e33a41308647836073",
     "abm": "1ce04dea92f55fa62cc0e65866aee7b5024677b86a17f94a5de8920b9f7dbdd7",
     "correlate": "f447ae9827bd30b4945112a18de79a1994ef368a4a70258b627e133b3a161bb8",

@@ -430,6 +430,16 @@ def test_stability_checks_its_arguments_before_any_task(kwargs, message):
         stability_experiment("son", 4, 4, 5, **args)
 
 
+@pytest.mark.parametrize("allocator,kwargs", [
+    ("son", {"instance_count": 0}),
+    ("centralized", {"instance_count": 1, "budget": 1}),
+])
+def test_stability_rejects_negative_sweeps_without_a_son_run(allocator, kwargs):
+    # neither call runs son_allocate, whose own check would catch it
+    with pytest.raises(ValueError, match="max_sweeps must be >= 0"):
+        stability_experiment(allocator, 4, 4, 5, max_sweeps=-1, **kwargs)
+
+
 def test_stability_rejects_negative_instance_count():
     with pytest.raises(ValueError, match="instance_count must be >= 0"):
         stability_experiment("son", 4, 4, 5, instance_count=-1)
@@ -450,7 +460,9 @@ def test_stability_sampling_reduces_rows():
 def test_lattice_roundtrip(tmp_path):
     lat, _ = son_allocate(5, 3, 4, "moore", seed=7)
     p = str(tmp_path / "l.lat")
-    write_lattice(lat, p, header_lines=["demo"])
+    with open(p, "w", encoding="utf-8", newline="") as fh:
+        fh.write("# demo\n")
+        write_lattice(lat, fh)
     back = read_lattice(p)
     assert np.array_equal(back.cells, lat.cells)
     assert (back.width, back.height, back.channel_count) == (5, 3, 4)
