@@ -133,7 +133,7 @@ def _seeds(value) -> list[int]:
             seeds = [_integer(seed) for seed in value]
         else:
             seeds = []
-    except ValueError:
+    except (ValueError, OverflowError):
         seeds = []
     if not seeds:
         raise ValueError(
@@ -158,8 +158,6 @@ class Param:
     The flag is --<name> with dashes unless ``flag`` names it; a flag
     without a leading dash is a positional taking any number of values.  A
     _switch flag takes no value and sets the opposite of the default.
-    Parameters with config=False are flags only: no config key, not in the
-    provenance header.
     """
 
     name: str
@@ -168,7 +166,6 @@ class Param:
     help: str | None = None
     choices: tuple[str, ...] | None = None
     flag: str | None = None
-    config: bool = True
     minimum: float | None = None
     maximum: int | None = None
 
@@ -213,24 +210,16 @@ class Param:
             parser.add_argument(self.name, metavar=flag, nargs="*", **kwargs)
 
 
+# the flags of every subcommand, and its only flag-only parameters: no
+# config key, not in the provenance header
 SHARED = (
-    Param("seed", _integer, 0, "base RNG seed"),
-    Param("out", _text, None, "output file (default: stdout)", config=False),
+    Param("out", _text, None, "output file (default: stdout)"),
     Param("workers", _integer, 1,
-          "parallel workers (>= 1); never affects the output bytes",
-          config=False, minimum=1),
-    Param("config", _text, None, "JSON parameter file", config=False),
+          "parallel workers (>= 1); never affects the output bytes", minimum=1),
+    Param("config", _text, None, "JSON parameter file"),
 )
 
-
-def _with_shared(*params: Param) -> tuple[Param, ...]:
-    """params, then the shared flags; a param named like a shared one takes
-    its place."""
-    own = {p.name: p for p in params}
-    shared = tuple(own.pop(p.name, p) for p in SHARED)
-    return (*own.values(), *shared)
-
-
+_SEED = Param("seed", _integer, 0, "base RNG seed")
 _MAX_SWEEPS = Param("max_sweeps", _integer, 10_000, minimum=0)
 _NEIGHBORHOOD = Param("neighborhood", _text, "moore", choices=tuple(NEIGHBORHOODS))
 _SAMPLING = (
@@ -249,11 +238,13 @@ _ALLOCATION = (
 
 # name -> (help, parameters in flag order); cmd_<name> runs the subcommand
 COMMANDS = {
-    "cfc": ("functional complexity of one graph", _with_shared(
+    "cfc": ("functional complexity of one graph", (
         Param("graph", _text, None, "edge-list file"),
         *_SAMPLING,
+        _SEED,
+        *SHARED,
     )),
-    "son-stability": ("repair-distance experiment", _with_shared(
+    "son-stability": ("repair-distance experiment", (
         Param("dims", _dims, "8x8", "lattice size WxH"),
         *_ALLOCATION,
         Param("instances", _integer, 20, minimum=0),
@@ -263,8 +254,10 @@ COMMANDS = {
               "perturb only this many cells per instance", minimum=0),
         Param("channel_sample", _integer, None,
               "force only this many channels per cell", minimum=0),
+        _SEED,
+        *SHARED,
     )),
-    "excess-entropy": ("spatial structure of lattices", _with_shared(
+    "excess-entropy": ("spatial structure of lattices", (
         Param("lattices", _paths, (), "lattice files", flag="lattice"),
         Param("generate", _text, None,
               "generate sample lattices instead of reading files",
@@ -277,8 +270,10 @@ COMMANDS = {
         Param("mmax", _integer, 4, "deepest context size", minimum=1),
         Param("tolerance", _number, 0.01,
               "convergence tolerance on the entropy-rate tail", minimum=0),
+        _SEED,
+        *SHARED,
     )),
-    "abm": ("intersection traffic over a shared channel", _with_shared(
+    "abm": ("intersection traffic over a shared channel", (
         Param("iterations", _integer, 2000, minimum=0),
         Param("mac", _text, "aloha", choices=MACS),
         Param("arrival_probability", _number, 0.5),
@@ -290,10 +285,11 @@ COMMANDS = {
         Param("message_duration", _integer, 1, "slots one report occupies",
               minimum=1),
         Param("slots_per_iteration", _integer, 1, minimum=1),
-        Param("seeds", _seeds, None,
+        Param("seeds", _seeds, (0,),
               "seed list: '1..30', '3,7,9', or one integer"),
+        *SHARED,
     )),
-    "correlate": ("complexity vs classical metrics", _with_shared(
+    "correlate": ("complexity vs classical metrics", (
         Param("kind", _text, "erdos-renyi", choices=ENSEMBLE_KINDS),
         Param("nodes", _integer, 10, minimum=2, maximum=NODE_CEILING),
         Param("graphs", _integer, 200, minimum=0),
@@ -308,11 +304,14 @@ COMMANDS = {
               flag="--no-connected-filter"),
         *_SAMPLING,
         Param("seed", _integer, 11, "base RNG seed"),
+        *SHARED,
     )),
-    "son-run": ("run one allocation, write the lattice", _with_shared(
+    "son-run": ("run one allocation, write the lattice", (
         Param("dims", _dims, "10x10", "lattice size WxH"),
         *_ALLOCATION,
         _MAX_SWEEPS,
+        _SEED,
+        *SHARED,
     )),
 }
 
@@ -329,7 +328,7 @@ def _resolve(args) -> dict:
     table = COMMANDS[args.command][1]
     flags = vars(args)
     config = _load_config(flags.get("config"))
-    unknown = sorted(set(config) - {p.name for p in table if p.config})
+    unknown = sorted(set(config) - {p.name for p in table if p not in SHARED})
     if unknown:
         raise ValueError(f"unknown config keys: {', '.join(unknown)}")
     # read before the loop below adds the flag-only parameters to flags
@@ -338,14 +337,14 @@ def _resolve(args) -> dict:
     for p in table:
         if p.name in flags:
             value = p.check(flags[p.name])
-        elif p.config and p.name in config:
+        elif p.name in config:
             value = p.check(config[p.name])
         else:
             value = p.default
-        if p.config:
-            params[p.name] = value
-        else:
+        if p in SHARED:
             setattr(args, p.name, value)
+        else:
+            params[p.name] = value
     return params
 
 
@@ -354,19 +353,14 @@ def _width_height(dims: str) -> tuple[int, int]:
     return width, height
 
 
-def _fmt(value):
-    """One CSV cell; repr keeps floats round-trippable, and csv.writer
-    writes the rest, None as an empty cell."""
-    return repr(value) if isinstance(value, float) else value
-
-
-def _provenance(command: str, params: dict, seed_repr: str) -> list[str]:
+def _provenance(command: str, params: dict) -> list[str]:
     blob = json.dumps(params, sort_keys=True)
+    seed = params["seeds"] if "seeds" in params else params["seed"]
     return [
         f"# tool: netcomplexity {__version__}",
         f"# command: {command}",
         f"# config: {blob}",
-        f"# seed: {seed_repr}",
+        f"# seed: {json.dumps(seed)}",
     ]
 
 
@@ -381,15 +375,16 @@ def _output(path: str | None):
             yield fh
 
 
-def _write_csv(args, params: dict, seed_repr: str, columns, rows, summary=()) -> None:
-    """Provenance header, CSV table and summary lines, to --out or stdout."""
+def _write_csv(args, params: dict, columns, rows, summary=()) -> None:
+    """Provenance header, CSV table and summary lines, to --out or stdout.
+    csv.writer writes floats by repr, so they round-trip, and None as an
+    empty cell."""
     with _output(args.out) as fh:
-        for line in _provenance(args.command, params, seed_repr):
+        for line in _provenance(args.command, params):
             fh.write(line + "\n")
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(columns)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+        writer.writerows(rows)
         for line in summary:
             fh.write(line + "\n")
 
@@ -468,11 +463,7 @@ def cmd_cfc(args) -> int:
         f"# complexity: {profile.complexity!r}",
         f"# pooled_standard_error: {profile.pooled_standard_error!r}",
     ]
-    _write_csv(
-        args, params, str(params["seed"]),
-        ScaleCell._fields, profile.cells,
-        summary,
-    )
+    _write_csv(args, params, ScaleCell._fields, profile.cells, summary)
     return 0
 
 
@@ -482,7 +473,6 @@ def cmd_cfc(args) -> int:
 
 def cmd_son_stability(args) -> int:
     params = _resolve(args)
-    seed_repr = str(params["seed"])
 
     width, height = _width_height(params["dims"])
     study = stability_experiment(
@@ -506,7 +496,7 @@ def cmd_son_stability(args) -> int:
         f"# max_distance: {study.max_distance}",
         f"# budget: {params['budget']}",
     ]
-    _write_csv(args, params, seed_repr, StabilityRow._fields, study.rows, summary)
+    _write_csv(args, params, StabilityRow._fields, study.rows, summary)
     return 0
 
 
@@ -569,10 +559,7 @@ def cmd_excess_entropy(args) -> int:
         f"# sample_count: {len(samples)}",
         f"# pooled_cells: {pooled}",
     ]
-    _write_csv(
-        args, params, str(params["seed"]),
-        ("context_depth", "conditional_entropy"), rows, summary,
-    )
+    _write_csv(args, params, ("context_depth", "conditional_entropy"), rows, summary)
     return 0
 
 
@@ -582,14 +569,9 @@ def cmd_excess_entropy(args) -> int:
 
 def cmd_abm(args) -> int:
     params = _resolve(args)
-    # a seed list, from --seeds or the config, wins over the single seed
-    seed = params.pop("seed")
-    if params["seeds"] is None:
-        params["seeds"] = [seed]
-    seeds = params["seeds"]
     scenario = {key: value for key, value in params.items() if key != "seeds"}
 
-    configs = [ScenarioConfig(**scenario, seed=s) for s in seeds]
+    configs = [ScenarioConfig(**scenario, seed=s) for s in params["seeds"]]
     results = list(_mapper(args.workers)(run_scenario, configs))
 
     rows = [(res.config.seed, *rec) for res in results for rec in res.trace]
@@ -607,10 +589,7 @@ def cmd_abm(args) -> int:
     summary.append(
         f"# aggregate: seeds={len(results)} mean_gap={grand!r} stderr={spread!r}"
     )
-    _write_csv(
-        args, params, json.dumps(seeds),
-        ("seed", *PerceptionRecord._fields), rows, summary,
-    )
+    _write_csv(args, params, ("seed", *PerceptionRecord._fields), rows, summary)
     return 0
 
 
@@ -649,11 +628,7 @@ def cmd_correlate(args) -> int:
         else:
             footer_rows.append((label, corr.rho, "", "", ""))
     summary = notes + [f"# flag: {flag}" for flag in report.flags]
-    _write_csv(
-        args, params, str(params["seed"]),
-        ReportRow._fields, [*report.rows, *footer_rows],
-        summary,
-    )
+    _write_csv(args, params, ReportRow._fields, [*report.rows, *footer_rows], summary)
     return 0
 
 
@@ -682,7 +657,7 @@ def cmd_son_run(args) -> int:
         f"# conflicts: {conflicts}",
     ]
     with _output(args.out) as fh:
-        for line in _provenance(args.command, params, str(seed)) + status:
+        for line in _provenance(args.command, params) + status:
             fh.write(line + "\n")
         write_lattice(lat, fh)
     if not converged:
@@ -731,6 +706,10 @@ def main(argv=None) -> int:
         return 1
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except OverflowError as exc:
+        # a value past the platform's integer range, found where it is used
+        print(f"error: value too large: {exc}", file=sys.stderr)
         return 2
     except MemoryError as exc:
         # the last resort: the size ceilings stop the known cases before

@@ -15,6 +15,7 @@ from netcomplexity import (
     run_scenario,
     stability_experiment,
 )
+from netcomplexity import cli
 from netcomplexity.cli import main
 
 from test_complexity import P4_COMPLEXITY
@@ -133,9 +134,18 @@ def test_config_root_must_be_an_object(tmp_path, capsys):
 
 def test_unknown_config_key_is_config_error(tmp_path, capsys):
     cfg = tmp_path / "bad.json"
-    cfg.write_text('{"graphs": 10}', encoding="utf-8")
-    assert run_cli("cfc", "--config", cfg) == 2
-    assert "unknown config keys" in capsys.readouterr().err
+    # abm's one seed parameter is seeds, so a seed key is unknown there
+    for command, config in (("cfc", {"graphs": 10}), ("abm", {"seed": 3})):
+        cfg.write_text(json.dumps(config), encoding="utf-8")
+        assert run_cli(command, "--config", cfg) == 2, command
+        assert "unknown config keys" in capsys.readouterr().err
+
+
+def test_each_command_declares_each_parameter_once():
+    for name, (_, table) in cli.COMMANDS.items():
+        names = [p.name for p in table]
+        assert len(names) == len(set(names)), name
+        assert len({"seed", "seeds"} & set(names)) == 1, name
 
 
 # (flags, config or None, the start of the error message: the parameter's
@@ -643,7 +653,7 @@ def test_abm_zero_iterations_header_only(tmp_path):
 
 def test_abm_one_seed_prints_no_standard_error(tmp_path):
     out = tmp_path / "out.csv"
-    assert run_cli("abm", "--iterations", 30, "--seed", 3, "--out", out) == 0
+    assert run_cli("abm", "--iterations", 30, "--seeds", 3, "--out", out) == 0
     _, _, summary = parse_output(out)
     assert summary[-1].startswith("# aggregate: seeds=1 mean_gap=")
     assert summary[-1].endswith(" stderr=nan")
@@ -676,7 +686,7 @@ def test_abm_trace_matches_library(tmp_path):
     out = tmp_path / "out.csv"
     assert run_cli(
         "abm", "--iterations", 40, "--mac", "csma", "--persistence", 0.3,
-        "--seed", 9, "--out", out,
+        "--seeds", 9, "--out", out,
     ) == 0
     res = run_scenario(ScenarioConfig(iterations=40, mac="csma",
                                       persistence=0.3, seed=9))
@@ -867,8 +877,6 @@ class FakePool:
 ])
 def test_pool_size_is_clamped_to_tasks_and_cpus(tmp_path, monkeypatch,
                                                 argv, cpus, sizes):
-    from netcomplexity import cli
-
     monkeypatch.setattr(cli, "ProcessPoolExecutor", FakePool)
     monkeypatch.setattr(FakePool, "sizes", [])
     # the fallback for platforms without an affinity set
@@ -889,8 +897,6 @@ def test_pool_size_is_clamped_to_tasks_and_cpus(tmp_path, monkeypatch,
 def test_pool_size_follows_the_cpu_affinity(tmp_path, monkeypatch,
                                             argv, affinity, sizes):
     # a process pinned to fewer CPUs than the machine has starts no idle workers
-    from netcomplexity import cli
-
     monkeypatch.setattr(cli, "ProcessPoolExecutor", FakePool)
     monkeypatch.setattr(FakePool, "sizes", [])
     monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: affinity, raising=False)

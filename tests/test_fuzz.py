@@ -35,7 +35,7 @@ BASES = (
 )
 
 WORDS = ("-1", "0", "1", "2", "x", "1.5", "", "nan", "1e400")
-SEED_WORDS = ("1,1", "3..1", "1..3", "1,,2")
+SEED_WORDS = ("1,1", "3..1", "1..3", "1,,2", "0..9223372036854775807")
 # values far past each size ceiling, tried first on every base that has the
 # flag, then drawn at random with the other values
 OVERSIZED = {

@@ -51,6 +51,29 @@ def test_oversized_input_exits_two_before_allocating(argv, message):
     )
 
 
+HUGE = 10**20  # past the range of a C long and of a C ssize_t
+
+
+@pytest.mark.parametrize("argv,start", [
+    (("son-stability", "--dims", "4x4", "--instances", HUGE),
+     "value too large: "),
+    (("son-stability", "--dims", "4x4", "--instances", 1, "--channels", HUGE),
+     "value too large: "),
+    (("son-run", "--dims", "4x4", "--channels", HUGE, "--out", "-"),
+     "value too large: "),
+    (("abm", "--iterations", 5, "--road-length", HUGE), "value too large: "),
+    (("abm", "--iterations", 0, "--seeds", "0..9223372036854775807"),
+     "seeds must be "),
+], ids=["son-stability-instances", "son-stability-channels", "son-run-channels",
+        "abm-road-length", "abm-seeds"])
+def test_integer_past_the_platform_range_exits_two(argv, start):
+    proc = run_bounded(argv, limit=1 << 30, timeout=15, text=True)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error: " + start), proc.stderr
+    assert proc.stderr.count("\n") == 1, proc.stderr
+    assert proc.stdout == ""
+
+
 def test_ceilings_admit_their_own_size():
     table = {p.name: p for p in cli.COMMANDS["son-run"][1]}
     assert table["dims"].check("1024x1024") == "1024x1024"
