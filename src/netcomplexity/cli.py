@@ -68,6 +68,10 @@ SAMPLING_MODES = ("exhaustive", "uniform-sample")
 LATTICE_CELL_CEILING = 1 << 20  # cells of one --dims lattice
 POOLED_CELL_CEILING = 1 << 24  # excess-entropy cells over all its lattices
 NODE_CEILING = 512  # correlate --nodes
+SEED_COUNT_CEILING = 1024  # abm --seeds: about 0.5 GB of trace at 2000 iterations
+# counts that size a list or a range; past the platform's index range they
+# overflow where they are used, so each such count names this maximum
+INDEX_CEILING = sys.maxsize
 
 
 # ---------------------------------------------------------------------------
@@ -126,19 +130,23 @@ def _seeds(value) -> list[int]:
         if isinstance(value, str):
             lo, dots, hi = value.partition("..")
             if dots:
-                seeds = list(range(int(lo), int(hi) + 1))
+                # one past the ceiling is enough to reject, and builds no
+                # more than that
+                seeds = list(range(int(lo), int(hi) + 1)[:SEED_COUNT_CEILING + 1])
             else:
                 seeds = [int(tok) for tok in value.split(",") if tok.strip()]
         elif isinstance(value, list):
             seeds = [_integer(seed) for seed in value]
         else:
             seeds = []
-    except (ValueError, OverflowError):
+    except ValueError:
         seeds = []
     if not seeds:
         raise ValueError(
             "a non-empty list of integers or text like '1..30', '3,7,9' or '5'"
         )
+    if len(seeds) > SEED_COUNT_CEILING:
+        raise ValueError(f"at most {SEED_COUNT_CEILING} seeds (the seed count ceiling)")
     repeated = sorted(seed for seed, n in Counter(seeds).items() if n > 1)
     if repeated:
         raise ValueError(f"distinct integers (repeated: {', '.join(map(str, repeated))})")
@@ -230,7 +238,7 @@ _SAMPLING = (
           "max subsets per size before sampling kicks in", minimum=1),
 )
 _ALLOCATION = (
-    Param("channels", _integer, 5, minimum=1),
+    Param("channels", _integer, 5, minimum=1, maximum=INDEX_CEILING),
     _NEIGHBORHOOD,
     Param("boundary", _text, "toroidal", choices=BOUNDARIES),
     Param("allocator", _text, "son", choices=ALLOCATORS),
@@ -247,7 +255,7 @@ COMMANDS = {
     "son-stability": ("repair-distance experiment", (
         Param("dims", _dims, "8x8", "lattice size WxH"),
         *_ALLOCATION,
-        Param("instances", _integer, 20, minimum=0),
+        Param("instances", _integer, 20, minimum=0, maximum=INDEX_CEILING),
         Param("budget", _integer, 8, "deepest repair distance searched", minimum=0),
         _MAX_SWEEPS,
         Param("cell_sample", _integer, None,
@@ -263,7 +271,7 @@ COMMANDS = {
               "generate sample lattices instead of reading files",
               choices=GENERATORS),
         Param("dims", _dims, "32x32", "generated lattice size WxH"),
-        Param("channels", _integer, 6, minimum=1),
+        Param("channels", _integer, 6, minimum=1, maximum=INDEX_CEILING),
         Param("count", _integer, 10, "number of generated lattices", minimum=1),
         _NEIGHBORHOOD,
         _MAX_SWEEPS,
@@ -277,7 +285,7 @@ COMMANDS = {
         Param("iterations", _integer, 2000, minimum=0),
         Param("mac", _text, "aloha", choices=MACS),
         Param("arrival_probability", _number, 0.5),
-        Param("road_length", _integer, 20, minimum=1),
+        Param("road_length", _integer, 20, minimum=1, maximum=INDEX_CEILING),
         Param("green_period", _integer, 20, minimum=1),
         Param("light_policy", _text, "fixed", choices=LIGHT_POLICIES),
         Param("min_green", _integer, 5, minimum=1),

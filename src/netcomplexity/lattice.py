@@ -108,6 +108,15 @@ def _conflicts(grid: list[int], nbrs: tuple[tuple[int, ...], ...]) -> int:
     return total
 
 
+def _any_conflict(grid: list[int], nbrs: tuple[tuple[int, ...], ...]) -> bool:
+    """Whether any two neighbors of a flat grid share a channel."""
+    for i, own in enumerate(grid):
+        for j in nbrs[i]:
+            if grid[j] == own:
+                return True
+    return False
+
+
 def conflict_count(lat: ChannelLattice) -> int:
     """Number of unordered neighbor pairs sharing a channel."""
     nbrs = neighbor_index_table(lat.width, lat.height, lat.neighborhood, lat.boundary)
@@ -196,19 +205,22 @@ def son_allocate(
     nbrs = neighbor_index_table(width, height, neighborhood, boundary)
     order = list(range(cell_total))
     sweeps = 0
-    conflicts = _conflicts(grid, nbrs)
-    while conflicts and sweeps < max_sweeps:
+    while sweeps < max_sweeps and _any_conflict(grid, nbrs):
         rng.shuffle(order)
         for i in order:
+            own = grid[i]
+            for j in nbrs[i]:
+                if grid[j] == own:
+                    break
+            else:
+                continue
             counts = [0] * channel_count
             for j in nbrs[i]:
                 counts[grid[j]] += 1
-            if counts[grid[i]] == 0:
-                continue
             least = min(counts)
             grid[i] = rng.choice([f for f in range(channel_count) if counts[f] == least])
         sweeps += 1
-        conflicts = _conflicts(grid, nbrs)
+    conflicts = _conflicts(grid, nbrs)
     lat = ChannelLattice(
         width=width,
         height=height,
@@ -253,17 +265,21 @@ def repair_distance(
     pair must have an endpoint changed, and the clamped cell never changes),
     so the first depth that admits a repair is the exact minimum.
 
-    A cell is free when it is neither clamped nor already changed.  A
-    change never takes a channel that a clamped or changed neighbor holds,
-    so no conflict joins two such cells: every conflict has one free
-    endpoint.  The admissible bound is a vertex cover of the current
-    conflicts over free cells: each free endpoint counts as one change
-    still to come.  Lookahead: when the free endpoints are exactly as many
-    as the changes left, they are the only cells that change below the
-    node, so the node is pruned when the neighbors of one of them outside
-    that set already hold every channel.  Both prunes cut only subtrees
-    without a repair, so the first repair found, and its witness, stay the
-    same.
+    A cell is fixed when it is clamped or already changed, and free
+    otherwise.  A change never takes a channel that a fixed neighbor holds,
+    and the start is conflict-free, so every conflict joins a fixed cell to
+    a free one, which must change.  The search keeps, for each free cell,
+    hits: how many fixed neighbors share its channel; the forced cells are
+    those with hits > 0.  A change updates hits at the changed cell's free
+    neighbors only, and taking it back undoes that.
+
+    The forced cells are a minimum vertex cover of the conflicts, so their
+    count is an admissible bound: each is one change still to come.
+    Lookahead: when the forced cells are exactly as many as the changes
+    left, they are the only cells that change below the node, so the node
+    is pruned when the neighbors of one of them outside that set already
+    hold every channel.  Both prunes cut only subtrees without a repair, so
+    the first repair found, and its witness, stay the same.
     """
     r0, c0 = cell
     if not (0 <= r0 < lat.height and 0 <= c0 < lat.width):
@@ -283,27 +299,21 @@ def repair_distance(
     clamped = r0 * width + c0
     grid[clamped] = forced_channel
 
+    cell_total = len(grid)
+    fixed = [False] * cell_total
+    fixed[clamped] = True
+    hits = [0] * cell_total
+    # the clamped cell's conflicts, in pair order; a changed one is repaired
+    at_clamped = sorted(j for j in nbrs[clamped] if grid[j] == forced_channel)
+    forced = set(at_clamped)
+    for j in forced:
+        hits[j] = 1
     changed: dict[int, int] = {}
 
     def dfs(depth_left: int) -> bool:
-        # the start is conflict-free, so every conflict touches a fixed cell,
-        # one whose channel differs from the start: the clamped one or a
-        # changed one.  No change takes a channel a fixed neighbor holds (see
-        # held below), so no conflict joins two fixed cells, and each conflict
-        # forces its one free endpoint to change.
-        free_end: dict[tuple[int, int], int] = {}
-        for i in (clamped, *changed):
-            own = grid[i]
-            for j in nbrs[i]:
-                if grid[j] == own:
-                    free_end[(i, j) if i < j else (j, i)] = j
-        if not free_end:
+        # the parent pruned len(forced) > depth_left before this call
+        if not forced:
             return True
-        # the forced cells are the minimum vertex cover of the conflicts
-        # over free cells: an admissible bound on the changes still to come
-        forced = set(free_end.values())
-        if len(forced) > depth_left:
-            return False
         if len(forced) == depth_left:
             # exactly the forced cells change below this node, so each needs
             # a channel that no neighbor outside them holds
@@ -311,24 +321,57 @@ def repair_distance(
                 if len({grid[j] for j in nbrs[e] if j not in forced}) == f_count:
                     return False
         # pivot on the first conflict in pair order, preferring one at the
-        # clamped cell, and branch on its free endpoint
-        pairs = sorted(free_end)
-        endpoint = free_end[next((pair for pair in pairs if clamped in pair), pairs[0])]
+        # clamped cell, and branch on its free endpoint: the first unchanged
+        # cell of at_clamped, else the least pair over the forced cells.  A
+        # neighbor sharing a forced cell's channel is fixed, since free cells
+        # keep their conflict-free start.
+        for endpoint in at_clamped:
+            if not fixed[endpoint]:
+                break
+        else:
+            least = cell_total * cell_total
+            for j in forced:
+                v = grid[j]
+                for i in nbrs[j]:
+                    if grid[i] == v:
+                        pair = i * cell_total + j if i < j else j * cell_total + i
+                        if pair < least:
+                            least, endpoint = pair, j
         # a channel held by a fixed neighbor (the old one among them) would
-        # be a conflict of two fixed cells
-        held = {grid[j] for j in nbrs[endpoint] if j == clamped or j in changed}
+        # be a conflict of two fixed cells; each other value hits the free
+        # neighbors that hold it
+        held = set()
+        free_by_channel: dict[int, list[int]] = {}
+        for j in nbrs[endpoint]:
+            if fixed[j]:
+                held.add(grid[j])
+            else:
+                free_by_channel.setdefault(grid[j], []).append(j)
         old = grid[endpoint]
+        fixed[endpoint] = True
+        forced.remove(endpoint)
         for value in range(f_count):
             if value in held:
                 continue
             grid[endpoint] = changed[endpoint] = value
-            if dfs(depth_left - 1):
+            hit = free_by_channel.get(value, ())
+            for j in hit:
+                hits[j] += 1
+                forced.add(j)
+            if len(forced) < depth_left and dfs(depth_left - 1):
                 return True
+            for j in hit:
+                hits[j] -= 1
+                if not hits[j]:
+                    forced.discard(j)
         changed.pop(endpoint, None)
         grid[endpoint] = old
+        fixed[endpoint] = False
+        forced.add(endpoint)
         return False
 
-    for depth in range(budget + 1):
+    # below len(forced) the root is pruned, as every node is before its call
+    for depth in range(len(forced), budget + 1):
         if dfs(depth):
             witness = tuple(
                 (divmod(i, width), v) for i, v in sorted(changed.items())

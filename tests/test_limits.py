@@ -2,6 +2,7 @@
 whose peak memory does not grow with the context depth."""
 
 import hashlib
+import sys
 
 import pytest
 
@@ -54,24 +55,47 @@ def test_oversized_input_exits_two_before_allocating(argv, message):
 HUGE = 10**20  # past the range of a C long and of a C ssize_t
 
 
-@pytest.mark.parametrize("argv,start", [
+def past_the_index_range(name):
+    return (f"{name} must be at most {sys.maxsize} (the {name} ceiling), "
+            f"got {HUGE}\n")
+
+
+@pytest.mark.parametrize("argv,message", [
     (("son-stability", "--dims", "4x4", "--instances", HUGE),
-     "value too large: "),
+     past_the_index_range("instances")),
     (("son-stability", "--dims", "4x4", "--instances", 1, "--channels", HUGE),
-     "value too large: "),
+     past_the_index_range("channels")),
     (("son-run", "--dims", "4x4", "--channels", HUGE, "--out", "-"),
-     "value too large: "),
-    (("abm", "--iterations", 5, "--road-length", HUGE), "value too large: "),
+     past_the_index_range("channels")),
+    (("excess-entropy", "--generate", "son", "--dims", "4x4", "--channels", HUGE),
+     past_the_index_range("channels")),
+    (("abm", "--iterations", 5, "--road-length", HUGE),
+     past_the_index_range("road_length")),
     (("abm", "--iterations", 0, "--seeds", "0..9223372036854775807"),
-     "seeds must be "),
+     "seeds must be at most 1024 seeds (the seed count ceiling), "
+     "got '0..9223372036854775807'\n"),
 ], ids=["son-stability-instances", "son-stability-channels", "son-run-channels",
-        "abm-road-length", "abm-seeds"])
-def test_integer_past_the_platform_range_exits_two(argv, start):
+        "excess-entropy-channels", "abm-road-length", "abm-seeds"])
+def test_integer_past_the_platform_range_exits_two(argv, message):
+    # each message names the key, as for every other bad value
     proc = run_bounded(argv, limit=1 << 30, timeout=15, text=True)
-    assert proc.returncode == 2, proc.stderr
-    assert proc.stderr.startswith("error: " + start), proc.stderr
-    assert proc.stderr.count("\n") == 1, proc.stderr
-    assert proc.stdout == ""
+    assert (proc.returncode, proc.stderr, proc.stdout) == (2, "error: " + message, "")
+
+
+def test_seed_count_ceiling_starts_no_scenario(monkeypatch, capsys):
+    def no_scenario(config):
+        raise AssertionError("a scenario started")
+
+    monkeypatch.setattr(cli, "run_scenario", no_scenario)
+    for seeds in ("0..1000000", "0..1024", ",".join(map(str, range(1025)))):
+        assert run_cli("abm", "--iterations", 0, "--seeds", seeds) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(
+            "error: seeds must be at most 1024 seeds (the seed count ceiling), "
+        ), err
+    seeds = {p.name: p for p in cli.COMMANDS["abm"][1]}["seeds"]
+    assert seeds.check("0..1023") == list(range(1024))
+    assert seeds.check(list(range(1024))) == list(range(1024))
 
 
 def test_ceilings_admit_their_own_size():

@@ -36,3 +36,24 @@ def test_install_wraps_existing_names_and_restore_puts_them_back():
     for owner, names in zip(OWNERS, before):
         assert vars(owner).keys() == names.keys()
         assert all(vars(owner)[attr] is value for attr, value in names.items())
+
+
+def test_traced_son_stability_counts_every_repair_and_sweep(tmp_path):
+    # the tracer wraps lattice.repair_distance and lattice.son_allocate by
+    # name; per-case work moved behind another name would read 0 here
+    out = tmp_path / "stability.csv"
+    tracer = Tracer()
+    layers.install(tracer)
+    try:
+        assert cli.main(["son-stability", "--dims", "4x4", "--channels", "5",
+                         "--instances", "2", "--budget", "2", "--workers", "1",
+                         "--out", str(out)]) == 0
+    finally:
+        tracer.restore()
+    metrics = layers.layer_metrics(tracer.spans)
+    lines = out.read_text().splitlines()
+    perturbations = int(next(line for line in lines
+                             if line.startswith("# perturbations: ")).split()[-1])
+    assert perturbations == 2 * 16 * 5
+    assert metrics["lattice.repairs"] == perturbations
+    assert metrics["lattice.son_sweeps"] > 0
