@@ -28,6 +28,10 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable
 
+# the CLI parallelizes by processes, so OpenBLAS helper threads would only
+# spin; set before numpy is first imported, and a user's own setting wins
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from . import __version__
 from .abm import LIGHT_POLICIES, MACS, PerceptionRecord, ScenarioConfig, run_scenario
 from .complexity import ScaleCell, functional_complexity
@@ -69,6 +73,19 @@ LATTICE_CELL_CEILING = 1 << 20  # cells of one --dims lattice
 POOLED_CELL_CEILING = 1 << 24  # excess-entropy cells over all its lattices
 NODE_CEILING = 512  # correlate --nodes
 SEED_COUNT_CEILING = 1024  # abm --seeds: about 0.5 GB of trace at 2000 iterations
+# Count ceilings, each checked before the first graph, draw or scenario.
+# Each admits a run of up to about an hour on one core of a 2-CPU Xeon VM;
+# an unbounded count such as 10**20 ran until it was killed.
+# correlate --graphs: rows of about 0.3 KB and 0.5 ms of work per graph
+GRAPH_COUNT_CEILING = 1 << 20
+# --samples, draws per sampled cell: about 3 us each on a 20-node graph,
+# so 50 s per cell at the ceiling
+SAMPLE_COUNT_CEILING = 1 << 24
+# abm seeds x iterations: the seed ceiling at the default 2000 iterations
+TRACE_ROW_CEILING = SEED_COUNT_CEILING * 2000
+# abm trace rows x slots per iteration: about 50 us per slot under a
+# collapsed Aloha backlog, so 15 minutes at the ceiling
+MAC_SLOT_CEILING = 1 << 24
 # counts that size a list or a range; past the platform's index range they
 # overflow where they are used, so each such count names this maximum
 INDEX_CEILING = sys.maxsize
@@ -233,7 +250,8 @@ _NEIGHBORHOOD = Param("neighborhood", _text, "moore", choices=tuple(NEIGHBORHOOD
 _SAMPLING = (
     Param("mode", _text, "exhaustive", "uniform-sample is --limit 1",
           choices=SAMPLING_MODES),
-    Param("samples", _integer, 10_000, "subset draws per sampled size", minimum=2),
+    Param("samples", _integer, 10_000, "subset draws per sampled size", minimum=2,
+          maximum=SAMPLE_COUNT_CEILING),
     Param("limit", _integer, 100_000,
           "max subsets per size before sampling kicks in", minimum=1),
 )
@@ -300,7 +318,7 @@ COMMANDS = {
     "correlate": ("complexity vs classical metrics", (
         Param("kind", _text, "erdos-renyi", choices=ENSEMBLE_KINDS),
         Param("nodes", _integer, 10, minimum=2, maximum=NODE_CEILING),
-        Param("graphs", _integer, 200, minimum=0),
+        Param("graphs", _integer, 200, minimum=0, maximum=GRAPH_COUNT_CEILING),
         Param("edge_probability", _number, None),
         Param("ring_degree", _integer, None),
         Param("rewiring_probability", _number, None),
@@ -359,6 +377,15 @@ def _resolve(args) -> dict:
 def _width_height(dims: str) -> tuple[int, int]:
     width, height = (int(part) for part in dims.split("x"))
     return width, height
+
+
+def _check_total(what: str, total: int, ceiling: int) -> None:
+    """Reject a total of several parameters past its ceiling, named like
+    the ceiling of one parameter."""
+    if total > ceiling:
+        raise ValueError(
+            f"{what}s must be at most {ceiling} (the {what} ceiling), got {total}"
+        )
 
 
 def _provenance(command: str, params: dict) -> list[str]:
@@ -512,14 +539,6 @@ def cmd_son_stability(args) -> int:
 # excess-entropy
 
 
-def _check_pooled(cells: int) -> None:
-    if cells > POOLED_CELL_CEILING:
-        raise ValueError(
-            f"pooled cells must be at most {POOLED_CELL_CEILING} "
-            f"(the pooled cell ceiling), got {cells}"
-        )
-
-
 def cmd_excess_entropy(args) -> int:
     params = _resolve(args)
     paths, generator = params["lattices"], params["generate"]
@@ -531,7 +550,8 @@ def cmd_excess_entropy(args) -> int:
                       "max_sweeps")
     if generator:
         width, height = _width_height(params["dims"])
-        _check_pooled(params["count"] * width * height)
+        _check_total("pooled cell", params["count"] * width * height,
+                     POOLED_CELL_CEILING)
         samples = [
             instance_lattice(
                 generator, generator, i, width, height, params["channels"],
@@ -545,7 +565,8 @@ def cmd_excess_entropy(args) -> int:
             if key in args.given:
                 raise ValueError(f"{key} must be unset with lattice files")
         samples = [read_lattice(p) for p in paths]
-        _check_pooled(sum(s.width * s.height for s in samples))
+        _check_total("pooled cell", sum(s.width * s.height for s in samples),
+                     POOLED_CELL_CEILING)
         for key in generator_keys:
             del params[key]
     else:
@@ -577,6 +598,9 @@ def cmd_excess_entropy(args) -> int:
 
 def cmd_abm(args) -> int:
     params = _resolve(args)
+    rows = len(params["seeds"]) * params["iterations"]
+    _check_total("trace row", rows, TRACE_ROW_CEILING)
+    _check_total("MAC slot", rows * params["slots_per_iteration"], MAC_SLOT_CEILING)
     scenario = {key: value for key, value in params.items() if key != "seeds"}
 
     configs = [ScenarioConfig(**scenario, seed=s) for s in params["seeds"]]

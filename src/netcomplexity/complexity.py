@@ -42,6 +42,9 @@ _BATCH = 4096
 # matrix entries per kernel pass, (graph, subset) rows times j * j: bounds
 # each float32 stack at 200 KB, 128 subsets of a 20-node graph
 _CHUNK = 128 * 20 * 20
+# largest subset scored from _code_table: 2 + 8 + 64 + 1,024 codes for
+# 2..5 members, about 33 KB of float64
+_TABLE_SIZE = 5
 
 
 # ---------------------------------------------------------------------------
@@ -92,12 +95,90 @@ def _one_hop(flat: np.ndarray, members: np.ndarray, n: int) -> np.ndarray:
     return np.take(flat, pairs, axis=1).reshape(-1, j, j)
 
 
+@functools.lru_cache(maxsize=None)
+def _pair_positions(j: int) -> tuple[np.ndarray, np.ndarray]:
+    """The two member positions of each pair of j members, in
+    np.triu_indices(j, 1) order."""
+    return np.triu_indices(j, 1)
+
+
+def _pair_bits(flat: np.ndarray, members: np.ndarray, n: int) -> np.ndarray:
+    """One table pass's (G * S, j(j-1)/2) stack: for each of the S subsets
+    of members in each of the G flat (n * n) adjacencies, graph-major, one
+    0/1 entry per member pair in _pair_positions order."""
+    lo, hi = _pair_positions(members.shape[1])
+    pairs = members[:, lo] * n + members[:, hi]
+    return np.take(flat, pairs, axis=1).reshape(-1, len(lo))
+
+
+def _passes(g_count: int, s: int, j: int):
+    """(graphs, subsets) slices of each kernel pass over G graphs and S
+    subsets of j members: at most _CHUNK matrix entries, (graph, subset)
+    rows times j * j, per pass.  A pass holds several whole graphs when
+    all S subsets fit, else a slice of one graph's subsets."""
+    rows = max(1, _CHUNK // (j * j))
+    step = min(s, rows)  # subsets per pass
+    span = rows // step  # graphs per pass
+    for g0 in range(0, g_count, span):
+        for lo in range(0, s, step):
+            yield slice(g0, g0 + span), slice(lo, lo + step)
+
+
+def _chain_batch(
+    adj: np.ndarray, members: np.ndarray, r: int, first: int = 1
+) -> np.ndarray:
+    """_information_batch by the product chain alone.  The chain runs
+    inline in the pass loop, so a pass's stacks stay allocated until the
+    next pass replaces them: a function per pass freed them on return, and
+    the next pass faulted their pages in again (six times the minor page
+    faults, and 10-member passes 30% slower)."""
+    g_count, n, _ = adj.shape
+    flat = adj.reshape(g_count, n * n)
+    s, j = members.shape
+    table = _entropy_table(j)
+    ones = np.ones(j, dtype=np.float32)
+    out = np.empty((r - first + 1, g_count, s))
+    for gs, ss in _passes(g_count, s, j):
+        graphs, m = flat[gs], members[ss]
+        one_hop = _one_hop(graphs, m, n)
+        reach = one_hop
+        for bit in f"{first:b}"[1:]:
+            reach = _reach_product(reach, reach)
+            if bit == "1":
+                reach = _reach_product(reach, one_hop)
+        for k in range(r - first + 1):
+            if k:
+                reach = _reach_product(reach, one_hop)
+            # reachers of each member, one C-ordered row per subset
+            counts = np.matmul(reach.reshape(-1, j), ones).astype(np.intp)
+            info = table[counts.reshape(-1, j)].sum(axis=1)
+            out[k, gs, ss] = info.reshape(len(graphs), len(m))
+    return out
+
+
+@functools.lru_cache(maxsize=None)
+def _code_table(j: int) -> np.ndarray:
+    """Read-only (j-1, 2 ** (j(j-1)/2)) table whose entry [k-1, code] is the
+    information at scale k of the labelled undirected graph on j members
+    with that code: bit p is set when member pair p, in _pair_positions
+    order, is an edge.  Filled by one chain call over every code."""
+    lo, hi = _pair_positions(j)
+    codes = np.arange(1 << len(lo))
+    bits = ((codes[:, None] >> np.arange(len(lo))) & 1).astype(np.float32)
+    adj = np.zeros((len(codes), j, j), dtype=np.float32)
+    adj[:, lo, hi] = adj[:, hi, lo] = bits
+    adj[:, range(j), range(j)] = 1.0
+    table = _chain_batch(adj, np.arange(j)[None], j - 1).reshape(j - 1, len(codes))
+    table.flags.writeable = False
+    return table
+
+
 def _information_batch(
     adj: np.ndarray, members: np.ndarray, r: int, first: int = 1
 ) -> np.ndarray:
     """Information per subset at scales first..r for an (S, j) array of
-    member indices in each graph of the (G, n, n) stack adj, as an
-    (r-first+1, G, S) array whose row k-first holds scale k.
+    member indices in each graph of the (G, n, n) stack adj, as a
+    C-contiguous (r-first+1, G, S) array whose row k-first holds scale k.
 
     adj is I | A from _dense_adjacency, so the induced submatrices, gathered
     transposed through the flat adjacency by _one_hop, already hold one-hop
@@ -113,36 +194,30 @@ def _information_batch(
     the binary entropy of c / j, read from a table and summed along the
     member's C-contiguous row.
 
-    A pass stacks the (graph, subset) rows of at most _CHUNK matrix entries:
-    several whole graphs when one pass holds all S subsets, else slices of
-    one graph's subsets.
+    Subsets of at most _TABLE_SIZE members in a symmetric (undirected)
+    stack skip the chain: _pair_bits gathers each induced subgraph's
+    j(j-1)/2 pair bits, one float32 matrix-vector product with powers of
+    two (exact below 2^24) turns them into the subgraph's code, and
+    _code_table(j) holds the answer at every scale.  The table was filled
+    by the same chain, and an entry is the same sum of the same j entropies
+    along a C-contiguous row, which numpy adds in an order that does not
+    depend on the number of rows, so both paths give the same bytes.
+
+    Both paths take the same passes (_passes), each of at most _CHUNK
+    matrix entries.
     """
     g_count, n, _ = adj.shape
-    flat = adj.reshape(g_count, n * n)
     s, j = members.shape
-    table = _entropy_table(j)
-    ones = np.ones(j, dtype=np.float32)
-    rows = max(1, _CHUNK // (j * j))
-    step = min(s, rows)  # subsets per pass
-    span = rows // step  # graphs per pass
+    if j > _TABLE_SIZE or not np.array_equal(adj, adj.transpose(0, 2, 1)):
+        return _chain_batch(adj, members, r, first)
+    flat = adj.reshape(g_count, n * n)
+    table = _code_table(j)[first - 1:r]
+    powers = (2 ** np.arange(j * (j - 1) // 2)).astype(np.float32)
     out = np.empty((r - first + 1, g_count, s))
-    for g0 in range(0, g_count, span):
-        graphs = flat[g0:g0 + span]
-        for lo in range(0, s, step):
-            m = members[lo:lo + step]
-            one_hop = _one_hop(graphs, m, n)
-            reach = one_hop
-            for bit in f"{first:b}"[1:]:
-                reach = _reach_product(reach, reach)
-                if bit == "1":
-                    reach = _reach_product(reach, one_hop)
-            for k in range(r - first + 1):
-                if k:
-                    reach = _reach_product(reach, one_hop)
-                # reachers of each member, one C-ordered row per subset
-                counts = np.matmul(reach.reshape(-1, j), ones).astype(np.intp)
-                info = table[counts.reshape(-1, j)].sum(axis=1)
-                out[k, g0:g0 + len(graphs), lo:lo + len(m)] = info.reshape(len(graphs), -1)
+    for gs, ss in _passes(g_count, s, j):
+        graphs, m = flat[gs], members[ss]
+        codes = np.matmul(_pair_bits(graphs, m, n), powers).astype(np.intp)
+        out[:, gs, ss] = np.take(table, codes.reshape(len(graphs), len(m)), axis=1)
     return out
 
 

@@ -410,6 +410,90 @@ def test_kernel_reaches_a_scale_in_logarithmically_many_products(monkeypatch):
         assert len(calls) == r - 1, r
 
 
+# ---------------------------------------------------------------------------
+# subsets of at most _TABLE_SIZE members in undirected stacks read a table
+
+
+def code_graph(j, code):
+    """I | A of the labelled graph on j members whose bit p marks member
+    pair p, in np.triu_indices(j, 1) order, as an edge."""
+    a = np.eye(j, dtype=np.float32)
+    for p, (u, v) in enumerate(zip(*np.triu_indices(j, 1))):
+        if code >> p & 1:
+            a[u, v] = a[v, u] = 1.0
+    return a
+
+
+@pytest.mark.parametrize("j", range(2, complexity._TABLE_SIZE + 1))
+def test_code_table_equals_the_chain_alone_and_in_a_batch(j):
+    table = complexity._code_table(j)
+    assert complexity._code_table(j) is table and not table.flags.writeable
+    codes = 1 << (j * (j - 1) // 2)
+    assert table.shape == (j - 1, codes)
+    stack = np.stack([code_graph(j, c) for c in range(codes)])
+
+    def chain(graphs):
+        return complexity._chain_batch(graphs, np.arange(j)[None], j - 1)[:, :, 0]
+
+    for code in range(codes):  # each code alone
+        assert np.array_equal(table[:, code], chain(stack[code:code + 1])[:, 0]), code
+    assert np.array_equal(table[:, ::-1], chain(stack[::-1]))  # all in one batch
+    # every j-subset of seeded 9-node graphs, from each first scale
+    rng = random.Random(101 + j)
+    for _ in range(3):
+        g = build_topology(9, [e for e in itertools.combinations(range(9), 2)
+                               if rng.random() < 0.45])
+        adj = complexity._dense_adjacency(g)
+        subsets = np.array(list(itertools.combinations(range(9), j)), dtype=np.intp)
+        ref = complexity._chain_batch(adj[None], subsets, j - 1)[:, 0]
+        for first in range(1, j):
+            got = complexity._information_batch(adj[None], subsets, j - 1, first)
+            assert np.array_equal(got[:, 0], ref[first - 1:])
+            assert got.flags.c_contiguous
+
+
+def record_table_sizes(monkeypatch):
+    """The member counts of the passes that read the code table."""
+    sizes = set()
+    pair_bits = complexity._pair_bits
+
+    def recorded(flat, members, n):
+        sizes.add(members.shape[1])
+        return pair_bits(flat, members, n)
+
+    monkeypatch.setattr(complexity, "_pair_bits", recorded)
+    return sizes
+
+
+def test_asymmetric_stacks_take_the_chain(monkeypatch):
+    sizes = record_table_sizes(monkeypatch)
+    rng = random.Random(103)
+    directed = complexity._dense_adjacency(random_digraph(rng, 8, 0.3)[1])
+    undirected = complexity._dense_adjacency(star(8))
+    members = np.array(list(itertools.combinations(range(8), 4)), dtype=np.intp)
+    for stack, table_sizes in ((np.stack([undirected] * 3), {4}),
+                               (np.stack([undirected, directed, undirected]), set())):
+        sizes.clear()
+        got = complexity._information_batch(stack, members, 3)
+        assert sizes == table_sizes
+        for a, cells in zip(stack, got.transpose(1, 0, 2)):
+            assert np.array_equal(cells, oracle_information_batch(a, members, 3))
+
+
+@pytest.mark.parametrize("limit", [10, 100_000])
+def test_table_sizes_in_a_block_equal_one_graph_at_a_time(limit, monkeypatch):
+    # 7-node graphs: sizes 2..5 read the table, and are sampled at limit 10
+    sizes = record_table_sizes(monkeypatch)
+    pol = SamplingPolicy(sample_count=40, exhaustive_limit=limit, seed=7)
+    block = mixed_block(107, 7, 10)
+    profiles = functional_complexity(block, pol)
+    assert sizes == {2, 3, 4, 5}
+    assert any(c.sampled for p in profiles for c in p.cells) == (limit == 10)
+    for g, prof in zip(block, profiles, strict=True):
+        one = functional_complexity(g, pol)
+        assert (prof.cells, prof.complexity) == (one.cells, one.complexity)
+
+
 def test_one_batch_member_arrays_are_cached_read_only(monkeypatch):
     monkeypatch.setattr(complexity, "_BATCH", 10)
     complexity._exhaustive_members.cache_clear()
@@ -565,15 +649,20 @@ def test_block_raises_for_its_first_disconnected_graph():
 
 
 def record_passes(monkeypatch):
+    """One (rows, j, width) entry per kernel pass of j-member subsets: a
+    one-hop stack of width j, or a pair-bit gather of width j(j-1)/2."""
     shapes = []
-    gather = complexity._one_hop
+    one_hop, pair_bits = complexity._one_hop, complexity._pair_bits
 
-    def one_hop(flat, members, n):
+    def recorded(flat, members, n, gather):
         out = gather(flat, members, n)
-        shapes.append(out.shape)
+        shapes.append((len(out), members.shape[1], out.shape[-1]))
         return out
 
-    monkeypatch.setattr(complexity, "_one_hop", one_hop)
+    monkeypatch.setattr(complexity, "_one_hop",
+                        lambda *args: recorded(*args, one_hop))
+    monkeypatch.setattr(complexity, "_pair_bits",
+                        lambda *args: recorded(*args, pair_bits))
     return shapes
 
 
@@ -583,19 +672,23 @@ LARGEST_STACK_BYTES = 256 * 20 * 20 * 4
 
 def test_block_passes_stay_within_the_stack_bound(monkeypatch):
     # 32 graphs of diameter 3 need scales 1..2 at every size past 2: one
-    # kernel call per size, its passes whole graphs while they fit
+    # kernel call per size, its passes whole graphs while they fit.  Sizes
+    # 2..5 gather pair bits for the code table in the passes a product
+    # chain of their size would make
     shapes = record_passes(monkeypatch)
     profiles = functional_complexity([graph_of_diameter(10, 3)] * 32)
     assert len({p.complexity for p in profiles}) == 1
     assert shapes == [
-        (1440, 2, 2), (3840, 3, 3),
-        (3150, 4, 4), (3150, 4, 4), (420, 4, 4),
-        *[(2016, 5, 5)] * 4,
+        (1440, 2, 1), (3840, 3, 3),
+        (3150, 4, 6), (3150, 4, 6), (420, 4, 6),
+        *[(2016, 5, 10)] * 4,
         *[(1260, 6, 6)] * 5, (420, 6, 6),
         *[(960, 7, 7)] * 4,
         (765, 8, 8), (675, 8, 8),
         (320, 9, 9), (32, 10, 10),
     ]
+    # a pair-bit gather's rows hold j(j-1)/2 < j * j entries, so the bound
+    # on its pass bounds the gather too
     for rows, j, _ in shapes:
         assert rows * j * j <= complexity._CHUNK
         assert rows * j * j * 4 <= LARGEST_STACK_BYTES

@@ -3,7 +3,9 @@ every import names the standard library, the package or a declared
 dependency."""
 
 import ast
+import os
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -66,3 +68,42 @@ def test_imports_are_declared(path):
         f"{path.name} imports {', '.join(undeclared)}, which pyproject.toml "
         "does not declare"
     )
+
+
+def run_unset(script, **env):
+    """Run script in a child of this interpreter that imports netcomplexity
+    from this suite's copy, with OPENBLAS_NUM_THREADS unset unless env sets
+    it; its stdout, stripped."""
+    src = str(Path(netcomplexity.__file__).resolve().parents[1])
+    base = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env={**base, "PYTHONPATH": path, **env})
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.strip()
+
+
+def test_package_import_loads_no_numpy():
+    # the exports bind on first use, so a library importer's numpy, and
+    # its BLAS threads, are configured by the importer alone
+    script = (
+        "import os, sys; import netcomplexity; "
+        "print('numpy' in sys.modules, os.environ.get('OPENBLAS_NUM_THREADS')); "
+        "from netcomplexity import *; from netcomplexity import complexity; "
+        "print('numpy' in sys.modules, functional_complexity is "
+        "complexity.functional_complexity, "
+        "set(netcomplexity.__all__) <= set(vars(netcomplexity)))"
+    )
+    assert run_unset(script).splitlines() == ["False None", "True True True"]
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
+                    reason="counts threads through Linux /proc")
+def test_cli_import_starts_no_blas_threads():
+    script = (
+        "import os; import netcomplexity.cli; "
+        "print(len(os.listdir('/proc/self/task')), os.environ['OPENBLAS_NUM_THREADS'])"
+    )
+    assert run_unset(script) == "1 1"
+    # a user's own setting wins
+    assert run_unset(script, OPENBLAS_NUM_THREADS="2").split()[1] == "2"

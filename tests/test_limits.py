@@ -8,7 +8,7 @@ import pytest
 
 from netcomplexity import cli
 
-from test_cli import run_bounded, run_cli
+from test_cli import run_bounded, run_cli, write_graph
 
 
 def test_excess_entropy_memory_does_not_grow_with_depth():
@@ -96,6 +96,61 @@ def test_seed_count_ceiling_starts_no_scenario(monkeypatch, capsys):
     seeds = {p.name: p for p in cli.COMMANDS["abm"][1]}["seeds"]
     assert seeds.check("0..1023") == list(range(1024))
     assert seeds.check(list(range(1024))) == list(range(1024))
+
+
+@pytest.mark.parametrize("argv,message", [
+    (("abm", "--iterations", HUGE),
+     f"trace rows must be at most 2048000 (the trace row ceiling), got {HUGE}"),
+    (("abm", "--iterations", 2, "--slots-per-iteration", HUGE),
+     f"MAC slots must be at most 16777216 (the MAC slot ceiling), got {2 * HUGE}"),
+    (("correlate", "--graphs", HUGE),
+     f"graphs must be at most 1048576 (the graphs ceiling), got {HUGE}"),
+    (("correlate", "--graphs", 2, "--mode", "uniform-sample", "--samples", HUGE),
+     f"samples must be at most 16777216 (the samples ceiling), got {HUGE}"),
+    (("cfc", "--graph", "ring20.edges", "--samples", HUGE),
+     f"samples must be at most 16777216 (the samples ceiling), got {HUGE}"),
+], ids=["abm-iterations", "abm-slots", "correlate-graphs", "correlate-samples",
+        "cfc-samples"])
+def test_huge_count_exits_two_before_any_work(argv, message, tmp_path, monkeypatch):
+    # without the count ceilings each ran until killed: the count sizes the
+    # work, not one allocation
+    write_graph(tmp_path / "ring20.edges", 20,
+                [(i, (i + 1) % 20) for i in range(20)] + [(0, 10), (5, 15)])
+    monkeypatch.chdir(tmp_path)
+    proc = run_bounded(argv, limit=1 << 30, timeout=15, text=True)
+    assert (proc.returncode, proc.stderr, proc.stdout) == (2, f"error: {message}\n", "")
+
+
+class Started(Exception):
+    """Raised by a stub that stands for the first piece of work."""
+
+
+def test_count_ceilings_start_no_scenario_graph_or_draw(monkeypatch, capsys):
+    def started(*args, **kwargs):
+        raise Started
+
+    for name in ("run_scenario", "correlation_report", "read_edge_list"):
+        monkeypatch.setattr(cli, name, started)
+    over = [
+        ("abm", "--iterations", 2001, "--seeds", "0..1023"),
+        ("abm", "--iterations", 16385, "--slots-per-iteration", 1024),
+        ("correlate", "--graphs", 1048577),
+        ("correlate", "--samples", 16777217),
+        ("cfc", "--graph", "absent.edges", "--samples", 16777217),
+    ]
+    for argv in over:
+        assert run_cli(*argv) == 2, argv
+        assert " ceiling), got " in capsys.readouterr().err
+    at = [
+        ("abm", "--iterations", 2000, "--seeds", "0..1023"),
+        ("abm", "--iterations", 16384, "--slots-per-iteration", 1024),
+        ("correlate", "--graphs", 1048576),
+        ("correlate", "--samples", 16777216),
+        ("cfc", "--graph", "absent.edges", "--samples", 16777216),
+    ]
+    for argv in at:
+        with pytest.raises(Started):
+            run_cli(*argv)
 
 
 def test_ceilings_admit_their_own_size():
