@@ -167,9 +167,6 @@ class TrafficWorld:
                 ahead = here
         self.iteration += 1
 
-    def cars_on_grid(self) -> list[Car]:
-        return [c for c in self.cells if c is not None]
-
 
 class SensorField:
     """One sensor per approach cell; reports are event-triggered.  `state`
@@ -235,10 +232,15 @@ class UniformStream:
     yields the same 53-bit uniforms as `rng.random()`.  Each block is
     compared with `persistence` once, in float64 as `u < persistence` is in
     Python, and the stream positions of the values below it are kept.
-    `starts(n)` consumes the next n uniforms and returns the offsets among
-    them that fell below `persistence`: on a copy of `rng`, that is
-    `[i for i in range(n) if rng.random() < persistence]`.  `rng` itself is
-    left where it was; `position` counts the uniforms consumed.
+    `rng` itself is left where it was.
+
+    A reader takes the next n uniforms in place: the values below
+    `persistence` among them are the entries of `hits` (ascending stream
+    positions) in [position, position + n), from `hits[cursor]` on.  It
+    calls `refill(position + n)` first when that end passes `drawn`, then
+    moves `cursor` past those entries and `position` to the end.  On a copy
+    of `rng`, the offsets `hit - position` are `[i for i in range(n) if
+    rng.random() < persistence]`.
     """
 
     BLOCK = 4096
@@ -248,26 +250,19 @@ class UniformStream:
         self._source = np.random.RandomState()
         self._source.set_state(("MT19937", np.array(key[:-1], dtype=np.uint32), key[-1]))
         self.persistence = persistence
-        self.position = 0
-        # stream positions of the drawn values below persistence, ascending;
-        # those before hits[_next] are consumed, and _drawn values are drawn
-        self._hits: list[int] = []
-        self._next = 0
-        self._drawn = 0
+        self.position = 0  # uniforms consumed
+        self.hits: list[int] = []
+        self.cursor = 0
+        self.drawn = 0
 
-    def starts(self, count: int) -> list[int]:
-        start = self.position
-        end = start + count
-        if end > self._drawn:
-            fresh = self._source.random_sample(max(self.BLOCK, end - self._drawn))
-            below = np.flatnonzero(fresh < self.persistence) + self._drawn
-            self._hits = self._hits[self._next:] + below.tolist()
-            self._next = 0
-            self._drawn += len(fresh)
-        first = self._next
-        self._next = bisect_left(self._hits, end, first)
-        self.position = end
-        return [pos - start for pos in self._hits[first:self._next]]
+    def refill(self, end: int) -> None:
+        """Draw values up to stream position `end`, a block at least, and
+        drop the consumed hits; `cursor` restarts at 0."""
+        fresh = self._source.random_sample(max(self.BLOCK, end - self.drawn))
+        below = np.flatnonzero(fresh < self.persistence) + self.drawn
+        self.hits = self.hits[self.cursor:] + below.tolist()
+        self.cursor = 0
+        self.drawn += len(fresh)
 
 
 class MacChannel:
@@ -317,8 +312,12 @@ class MacChannel:
             return deliveries, 0
         csma = self.kind == "csma"
         ongoing = self.ongoing
-        starts = self.stream.starts
         last = self.duration - 1
+        last_collision = self.last_collision
+        # the stream is read in place (see UniformStream) and written back
+        # once, after the last slot
+        stream = self.stream
+        hits, cursor, position, drawn = stream.hits, stream.cursor, stream.position, stream.drawn
         # only the channel changes pending between slots, so the eligible
         # list is built once and kept in id order
         in_flight = {sid for _, batch in ongoing for sid, _ in batch}
@@ -328,27 +327,42 @@ class MacChannel:
         for slot in range(self.slot, self.slot + slots):
             busy = bool(ongoing)
             if eligible and not (busy and csma):
-                offsets = starts(len(eligible))
-                if offsets:
-                    starters = [eligible[k] for k in offsets]
-                    for k in reversed(offsets):
-                        del eligible[k]
-                    ongoing.append((slot, [(sid, pending.pop(sid)) for sid in starters]))
-                    if len(starters) >= 2 or busy:
+                end = position + len(eligible)
+                if end > drawn:
+                    stream.cursor = cursor
+                    stream.refill(end)
+                    hits, cursor, drawn = stream.hits, 0, stream.drawn
+                stop = bisect_left(hits, end, cursor)
+                if stop > cursor:
+                    # the starters leave eligible from the highest offset
+                    # down, so the lower offsets stay valid.  The batch is
+                    # in descending id order: two or more starters collide,
+                    # so only a batch of one is ever delivered
+                    batch = []
+                    for k in range(stop - 1, cursor - 1, -1):
+                        sid = eligible.pop(hits[k] - position)
+                        batch.append((sid, pending.pop(sid)))
+                    ongoing.append((slot, batch))
+                    if busy or stop - cursor >= 2:
                         # corrupts every message on the air
-                        self.last_collision = slot
+                        last_collision = slot
                         collisions += 1
+                    cursor = stop
+                position = end
             if ongoing and ongoing[0][0] + last == slot:
                 start, batch = ongoing.popleft()
-                corrupted = self.last_collision >= start
-                for sid, state in batch:
-                    if corrupted:
+                if last_collision >= start:
+                    for sid, state in batch:
                         # retry unless the sensor queued a fresher state meanwhile
                         pending.setdefault(sid, state)
-                    if sid in pending:
                         insort(eligible, sid)
-                if not corrupted:
+                else:
                     deliveries += batch
+                    for sid, _ in batch:
+                        if sid in pending:
+                            insort(eligible, sid)
+        stream.cursor, stream.position = cursor, position
+        self.last_collision = last_collision
         self.slot += slots
         return deliveries, collisions
 
@@ -428,7 +442,7 @@ def run_scenario(config: ScenarioConfig, check_invariants: bool = False) -> Scen
             else:
                 time_in_phase += 1
         if check_invariants:
-            cars = world.cars_on_grid()
+            cars = [car for car in world.cells if car is not None]
             if len(cars) != world.created - world.departed:
                 raise AssertionError(
                     f"conservation violated at iteration {it}: "

@@ -81,6 +81,10 @@ GRAPH_COUNT_CEILING = 1 << 20
 # --samples, draws per sampled cell: about 3 us each on a 20-node graph,
 # so 50 s per cell at the ceiling
 SAMPLE_COUNT_CEILING = 1 << 24
+# exhaustive subsets scored over all graphs: about 3 us each on a 22-node
+# ring, so about 50 minutes at the ceiling; it admits correlate's --graphs
+# ceiling at the default 10 nodes and --limit
+EXHAUSTIVE_SUBSET_CEILING = 1 << 30
 # abm seeds x iterations: the seed ceiling at the default 2000 iterations
 TRACE_ROW_CEILING = SEED_COUNT_CEILING * 2000
 # abm trace rows x slots per iteration: about 50 us per slot under a
@@ -461,15 +465,22 @@ def _load_config(path: str | None) -> dict:
     return data
 
 
-def _policy(params: dict) -> SamplingPolicy:
+def _policy(params: dict, node_count: int, graph_count: int = 1) -> SamplingPolicy:
+    """The sampling policy of the params, once the subsets it enumerates
+    for graph_count graphs of node_count nodes are within their ceiling.
+    Every scored size is counted, as any graph of diameter 2 or more visits
+    them all."""
     # uniform-sample is limit 1; params keeps the applied limit for the header
     if params["mode"] == "uniform-sample":
         params["limit"] = 1
-    return SamplingPolicy(
+    policy = SamplingPolicy(
         sample_count=params["samples"],
         exhaustive_limit=params["limit"],
         seed=params["seed"],
     )
+    _check_total("exhaustive subset", graph_count * policy.exhaustive_count(node_count),
+                 EXHAUSTIVE_SUBSET_CEILING)
+    return policy
 
 
 # ---------------------------------------------------------------------------
@@ -482,7 +493,7 @@ def cmd_cfc(args) -> int:
         raise ValueError("no graph file given (use --graph or a config file)")
 
     g = read_edge_list(params["graph"])
-    profile = functional_complexity(g, policy=_policy(params))
+    profile = functional_complexity(g, policy=_policy(params, g.node_count))
     if profile.degenerate:
         print(
             "warning: graph diameter is 1, so there are no usable scales; "
@@ -645,9 +656,8 @@ def cmd_correlate(args) -> int:
         rewiring_probability=params["rewiring_probability"],
         attachment_count=params["attachment_count"],
     )
-    report = correlation_report(
-        spec, policy=_policy(params), mapper=_mapper(args.workers),
-    )
+    policy = _policy(params, params["nodes"], params["graphs"])
+    report = correlation_report(spec, policy=policy, mapper=_mapper(args.workers))
 
     label_of = dict(METRIC_FIELDS)
     footer_rows = []

@@ -213,6 +213,23 @@ class SamplingPolicy:
         """Whether the size-subsets of node_count nodes are sampled."""
         return math.comb(node_count, size) > self.exhaustive_limit
 
+    def exhaustive_count(self, node_count: int) -> int:
+        """The subsets enumerated over the sizes 2..N that the metric scores.
+
+        C(N, j) is symmetric in j and rises up to N/2, so the exhaustive
+        sizes are the two ends: the count stops at the first sampled size,
+        and a huge N costs no work per node."""
+        n = node_count
+        total = 1 if n >= 2 else 0  # the single full-size subset
+        count = 1
+        for size in range(1, n // 2 + 1):
+            count = count * (n - size + 1) // size  # C(n, size)
+            if count > self.exhaustive_limit:
+                break
+            # size itself from 2 on, and its mirror n - size once
+            total += count * ((size >= 2) + (n - size > size))
+        return total
+
 
 def sample_stream(seed: int, *parts: object) -> random.Random:
     """Deterministic RNG derived from a base seed and a stream tag.

@@ -289,6 +289,16 @@ def test_policy_full_size_always_exhaustive():
             assert pol.sampled(n, j) == (j < n)
 
 
+def test_policy_exhaustive_count_sums_the_enumerated_sizes():
+    for limit in (1, 2, 10, 100, 1000, 100_000, 10**20):
+        pol = SamplingPolicy(exhaustive_limit=limit)
+        for n in range(0, 41):
+            want = sum(math.comb(n, j) for j in range(2, n + 1) if not pol.sampled(n, j))
+            assert pol.exhaustive_count(n) == want, (limit, n)
+    # a huge node count stops at the first sampled size
+    assert SamplingPolicy().exhaustive_count(10**9) == 1
+
+
 def test_mean_and_stderr_needs_two_values_for_an_error():
     mean, err = mean_and_stderr([])
     assert math.isnan(mean) and math.isnan(err)

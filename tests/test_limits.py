@@ -8,7 +8,7 @@ import pytest
 
 from netcomplexity import cli
 
-from test_cli import run_bounded, run_cli, write_graph
+from test_cli import run_bounded, run_cli, run_python, write_graph
 
 
 def test_excess_entropy_memory_does_not_grow_with_depth():
@@ -193,3 +193,62 @@ def test_memory_error_exits_two(monkeypatch, capsys, exc, line):
     monkeypatch.setattr(cli, "estimate_excess_entropy", exhausted)
     assert run_cli("excess-entropy", "--generate", "iid", "--dims", "4x4") == 2
     assert capsys.readouterr().err == line
+
+
+def run_unscored(argv, directory):
+    """cli.main(argv) in a child under a 1 GiB address-space limit, with the
+    scoring kernel replaced by one that ends the run with exit code 1."""
+    script = (
+        "import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)); "
+        "from netcomplexity import cli, complexity; "
+        "complexity._information_batch = lambda *args: sys.exit('a subset was scored'); "
+        "sys.exit(cli.main(sys.argv[1:]))"
+    )
+    return run_python("-c", script, *map(str, argv), capture_output=True,
+                      timeout=15, text=True, cwd=directory)
+
+
+def test_exhaustive_subset_ceiling_scores_no_subset(tmp_path):
+    # a huge --limit enumerates every size: each ran until killed
+    write_graph(tmp_path / "ring40.edges", 40, [(i, (i + 1) % 40) for i in range(40)])
+    over = [
+        (("cfc", "--graph", "ring40.edges", "--limit", HUGE), 2**40 - 41),
+        (("correlate", "--nodes", 60, "--graphs", 2, "--limit", HUGE), 2 * (2**60 - 61)),
+    ]
+    for argv, total in over:
+        proc = run_unscored(argv, tmp_path)
+        assert (proc.returncode, proc.stderr, proc.stdout) == (
+            2,
+            "error: exhaustive subsets must be at most 1073741824 "
+            f"(the exhaustive subset ceiling), got {total}\n",
+            "",
+        ), argv
+    # the defaults are admitted and reach the kernel
+    for argv in (("cfc", "--graph", "ring40.edges"),
+                 ("correlate", "--nodes", 60, "--graphs", 2)):
+        proc = run_unscored(argv, tmp_path)
+        assert (proc.returncode, proc.stderr) == (1, "a subset was scored\n"), argv
+
+
+def test_exhaustive_subset_ceiling_counts_every_enumerated_size(
+        tmp_path, monkeypatch, capsys):
+    def started(*args, **kwargs):
+        raise Started
+
+    monkeypatch.setattr(cli, "functional_complexity", started)
+    monkeypatch.setattr(cli, "correlation_report", started)
+    ring = write_graph(tmp_path / "ring40.edges", 40,
+                       [(i, (i + 1) % 40) for i in range(40)])
+    subsets = 204_141  # sizes 2-4 and 36-40 of 40 nodes at the default --limit
+    for argv, total in ((("cfc", "--graph", ring), subsets),
+                        (("correlate", "--nodes", 40, "--graphs", 3), 3 * subsets),
+                        (("cfc", "--graph", ring, "--mode", "uniform-sample"), 1)):
+        monkeypatch.setattr(cli, "EXHAUSTIVE_SUBSET_CEILING", total)
+        with pytest.raises(Started):
+            run_cli(*argv)
+        monkeypatch.setattr(cli, "EXHAUSTIVE_SUBSET_CEILING", total - 1)
+        assert run_cli(*argv) == 2
+        assert capsys.readouterr().err == (
+            f"error: exhaustive subsets must be at most {total - 1} "
+            f"(the exhaustive subset ceiling), got {total}\n"
+        )

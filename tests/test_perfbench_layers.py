@@ -57,3 +57,25 @@ def test_traced_son_stability_counts_every_repair_and_sweep(tmp_path):
     assert perturbations == 2 * 16 * 5
     assert metrics["lattice.repairs"] == perturbations
     assert metrics["lattice.son_sweeps"] > 0
+
+
+def test_traced_abm_counts_every_round_step_and_observe(tmp_path):
+    # the tracer wraps MacChannel.round, TrafficWorld.step and
+    # SensorField.observe by name; per-slot work moved behind another name,
+    # or a round that no longer runs through the method, would miscount here
+    out = tmp_path / "abm.csv"
+    tracer = Tracer()
+    layers.install(tracer)
+    try:
+        assert cli.main(["abm", "--mac", "aloha", "--persistence", "0.05",
+                         "--message-duration", "2", "--slots-per-iteration", "10",
+                         "--iterations", "50", "--seeds", "1..2", "--workers", "1",
+                         "--out", str(out)]) == 0
+    finally:
+        tracer.restore()
+    metrics = layers.layer_metrics(tracer.spans)
+    names = [span.name for span in tracer.spans]
+    assert metrics["abm.mac_rounds"] == 2 * 50
+    assert names.count("abm.TrafficWorld.step") == 2 * 50
+    assert names.count("abm.SensorField.observe") == 2 * 50
+    assert metrics["abm.mean_backlog"] > 0
