@@ -225,46 +225,6 @@ class DecisionMaker:
         return self.perceived["h"] + self.perceived["v"]
 
 
-class UniformStream:
-    """The transmit decisions of one persistence, drawn a block at a time.
-
-    A numpy RandomState loaded with the Mersenne Twister state of `rng`
-    yields the same 53-bit uniforms as `rng.random()`.  Each block is
-    compared with `persistence` once, in float64 as `u < persistence` is in
-    Python, and the stream positions of the values below it are kept.
-    `rng` itself is left where it was.
-
-    A reader takes the next n uniforms in place: the values below
-    `persistence` among them are the entries of `hits` (ascending stream
-    positions) in [position, position + n), from `hits[cursor]` on.  It
-    calls `refill(position + n)` first when that end passes `drawn`, then
-    moves `cursor` past those entries and `position` to the end.  On a copy
-    of `rng`, the offsets `hit - position` are `[i for i in range(n) if
-    rng.random() < persistence]`.
-    """
-
-    BLOCK = 4096
-
-    def __init__(self, rng: random.Random, persistence: float) -> None:
-        key = rng.getstate()[1]
-        self._source = np.random.RandomState()
-        self._source.set_state(("MT19937", np.array(key[:-1], dtype=np.uint32), key[-1]))
-        self.persistence = persistence
-        self.position = 0  # uniforms consumed
-        self.hits: list[int] = []
-        self.cursor = 0
-        self.drawn = 0
-
-    def refill(self, end: int) -> None:
-        """Draw values up to stream position `end`, a block at least, and
-        drop the consumed hits; `cursor` restarts at 0."""
-        fresh = self._source.random_sample(max(self.BLOCK, end - self.drawn))
-        below = np.flatnonzero(fresh < self.persistence) + self.drawn
-        self.hits = self.hits[self.cursor:] + below.tolist()
-        self.cursor = 0
-        self.drawn += len(fresh)
-
-
 class MacChannel:
     """Shared slotted channel.
 
@@ -276,12 +236,19 @@ class MacChannel:
     the end of their message and then re-queue.  The ideal kind bypasses the
     channel entirely and delivers every pending report at once.
 
-    Sensors are integer ids.  The channel owns `stream`, the UniformStream
-    of `rng` and `persistence`.  Each slot, the eligible senders (pending
-    and not in flight) take one uniform each from it, in id order, and
-    those whose uniform falls below `persistence` start; a CSMA slot on a
-    busy channel and an ideal slot take none.
+    Sensors are integer ids.  Each slot, the eligible senders (pending and
+    not in flight) take one uniform each, in id order, and those whose
+    uniform falls below `persistence` start; a CSMA slot on a busy channel
+    and an ideal slot take none.  The uniforms are those of `rng.random()`,
+    replayed by a numpy RandomState loaded with the Mersenne Twister state
+    of `rng`; `rng` itself is not advanced.  They are drawn `BLOCK` at a
+    time, and each block is compared once with `persistence`, in float64 as
+    `u < persistence` is in Python.  `hits` holds the stream positions below
+    `persistence` from `hits[cursor]` on, up to `drawn`; `position` counts
+    the uniforms consumed.
     """
+
+    BLOCK = 4096
 
     def __init__(
         self, kind: str, rng: random.Random, persistence: float = 1.0,
@@ -290,7 +257,14 @@ class MacChannel:
         if kind not in MACS:
             raise ValueError(f"unknown mac {kind!r}")
         self.kind = kind
-        self.stream = UniformStream(rng, persistence)
+        key = rng.getstate()[1]
+        self._source = np.random.RandomState()
+        self._source.set_state(("MT19937", np.array(key[:-1], dtype=np.uint32), key[-1]))
+        self.persistence = persistence
+        self.hits: list[int] = []
+        self.cursor = 0
+        self.position = 0
+        self.drawn = 0
         self.duration = message_duration
         self.slot = 0
         # (start slot, [(sid, state), ...]) per slot that had starters,
@@ -314,10 +288,9 @@ class MacChannel:
         ongoing = self.ongoing
         last = self.duration - 1
         last_collision = self.last_collision
-        # the stream is read in place (see UniformStream) and written back
-        # once, after the last slot
-        stream = self.stream
-        hits, cursor, position, drawn = stream.hits, stream.cursor, stream.position, stream.drawn
+        # the draw state is read into locals and written back once, after
+        # the last slot
+        hits, cursor, position, drawn = self.hits, self.cursor, self.position, self.drawn
         # only the channel changes pending between slots, so the eligible
         # list is built once and kept in id order
         in_flight = {sid for _, batch in ongoing for sid, _ in batch}
@@ -329,9 +302,12 @@ class MacChannel:
             if eligible and not (busy and csma):
                 end = position + len(eligible)
                 if end > drawn:
-                    stream.cursor = cursor
-                    stream.refill(end)
-                    hits, cursor, drawn = stream.hits, 0, stream.drawn
+                    # a block at least, keeping the hits not yet consumed
+                    fresh = self._source.random_sample(max(self.BLOCK, end - drawn))
+                    below = np.flatnonzero(fresh < self.persistence) + drawn
+                    hits = hits[cursor:] + below.tolist()
+                    cursor = 0
+                    drawn += len(fresh)
                 stop = bisect_left(hits, end, cursor)
                 if stop > cursor:
                     # the starters leave eligible from the highest offset
@@ -361,7 +337,7 @@ class MacChannel:
                     for sid, _ in batch:
                         if sid in pending:
                             insort(eligible, sid)
-        stream.cursor, stream.position = cursor, position
+        self.hits, self.cursor, self.position, self.drawn = hits, cursor, position, drawn
         self.last_collision = last_collision
         self.slot += slots
         return deliveries, collisions

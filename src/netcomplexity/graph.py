@@ -95,6 +95,8 @@ def build_topology(
     canonical: list[tuple[int, int]] = []
     for edge in edges:
         u, v = int(edge[0]), int(edge[1])
+        if u != edge[0] or v != edge[1]:
+            raise ValueError(f"edge ({edge[0]!r}, {edge[1]!r}) has a non-integral node id")
         if not (0 <= u < node_count and 0 <= v < node_count):
             raise ValueError(
                 f"edge ({u}, {v}) references a node outside 0..{node_count - 1}"

@@ -56,17 +56,21 @@ class ChannelLattice:
     def __post_init__(self) -> None:
         _check_geometry(self.width, self.height, self.channel_count,
                         self.neighborhood, self.boundary)
-        arr = np.asarray(self.cells, dtype=np.int64)
+        arr = np.asarray(self.cells)
         if arr.shape != (self.height, self.width):
             raise ValueError(
                 f"cells shape {arr.shape} does not match "
                 f"height x width = ({self.height}, {self.width})"
             )
+        if arr.dtype.kind not in "iub" and not (
+            arr.dtype.kind == "f" and np.isfinite(arr).all() and (arr == np.trunc(arr)).all()
+        ):
+            raise ValueError("cell values must be integers")
         if arr.size and (arr.min() < 0 or arr.max() >= self.channel_count):
             raise ValueError(
                 f"cell values must lie in 0..{self.channel_count - 1}"
             )
-        arr = arr.copy()
+        arr = arr.astype(np.int64)
         arr.setflags(write=False)
         object.__setattr__(self, "cells", arr)
 

@@ -2,7 +2,7 @@
 
 Deliberately share no code with the production pipelines: reachability goes
 through networkx shortest paths, enumeration through itertools, entropies
-through math/mpmath, the lattice repair oracle enumerates recolorings
+through math and decimal, the lattice repair oracle enumerates recolorings
 literally, the repair witness checker applies a witness and lists the
 conflicts it leaves, and the MAC oracle keys sensors by (lane, index) and
 calls random() once per sender.  The reachability-kernel oracle keeps the

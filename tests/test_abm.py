@@ -3,7 +3,6 @@
 import hashlib
 import math
 import random
-from bisect import bisect_left
 
 import pytest
 
@@ -21,7 +20,6 @@ from netcomplexity.abm import (
     ScenarioConfig,
     SensorField,
     TrafficWorld,
-    UniformStream,
     fixed_phase,
     queue_phase,
     run_scenario,
@@ -369,36 +367,6 @@ def advanced(seed, count):
     return rng
 
 
-def take(stream, count):
-    """The offsets among the next `count` uniforms of `stream` that fall
-    below its persistence, read in place as MacChannel.round reads them."""
-    end = stream.position + count
-    if end > stream.drawn:
-        stream.refill(end)
-    stop = bisect_left(stream.hits, end, stream.cursor)
-    offsets = [hit - stream.position for hit in stream.hits[stream.cursor:stop]]
-    stream.cursor, stream.position = stop, end
-    return offsets
-
-
-def test_uniform_stream_replays_random_across_refills():
-    block = UniformStream.BLOCK
-    for persistence in (0.05, 0.3, 1.0):
-        reference = random.Random("uniform-stream")
-        source = random.Random("uniform-stream")
-        state = source.getstate()
-        stream = UniformStream(source, persistence)
-        # empty and single requests, one that crosses a refill, and two
-        # larger than a block, the second of which ends a block exactly
-        consumed = 0
-        for count in (0, 1, block - 100, 0, 200, 1, block + 900, 2 * block + 5, 1, 0):
-            want = [i for i in range(count) if reference.random() < persistence]
-            assert take(stream, count) == want
-            consumed += count
-            assert stream.position == consumed
-        assert source.getstate() == state  # the source stream is not advanced
-
-
 def check_against_oracle(tag, kind, duration, persistence, slots, calls,
                          length=5, full=False):
     """Drive MacChannel.round(pending, slots) and OracleMacChannel.round,
@@ -412,7 +380,8 @@ def check_against_oracle(tag, kind, duration, persistence, slots, calls,
     names = sorted((lane, i) for lane in LANES for i in range(length))
     schedule = random.Random(tag + ":schedule")
     oracle, rng = OracleMacChannel(kind, persistence, duration), random.Random(tag)
-    channel = MacChannel(kind, random.Random(tag), persistence, duration)
+    source = random.Random(tag)
+    channel = MacChannel(kind, source, persistence, duration)
     oracle_pending, pending = {}, {}
     if full:
         for sid, name in enumerate(names):
@@ -436,9 +405,11 @@ def check_against_oracle(tag, kind, duration, persistence, slots, calls,
         assert {names[sid]: state for sid, state in pending.items()} == oracle_pending
         # by stream position, not by the next value: at persistence 1 every
         # value is a start
-        assert advanced(tag, channel.stream.position).getstate() == rng.getstate()
+        assert advanced(tag, channel.position).getstate() == rng.getstate()
         events += len(out) + hits
     assert events > 0
+    # the channel replays the stream of `rng` without advancing it
+    assert source.getstate() == random.Random(tag).getstate()
     return channel
 
 
@@ -470,7 +441,18 @@ def test_saturated_aloha_matches_oracle_across_refills():
         calls=80, length=20, full=True,
     )
     # each refill draws one block, as no slot reads more
-    assert channel.stream.drawn >= 10 * UniformStream.BLOCK
+    assert channel.drawn >= 10 * MacChannel.BLOCK
+
+
+def test_slot_wider_than_a_block_draws_what_it_reads():
+    # 4,100 sensors, all pending in every call (1-slot messages end in the
+    # slot they start), so each slot reads more uniforms than a block holds
+    # and each refill draws exactly that many
+    channel = check_against_oracle(
+        "mac-wide:aloha", "aloha", duration=1, persistence=0.05, slots=1,
+        calls=3, length=1025, full=True,
+    )
+    assert channel.drawn == 3 * 4 * 1025 > 3 * MacChannel.BLOCK
 
 
 def test_unknown_mac_rejected():

@@ -30,7 +30,7 @@ from oracles import (
 # brute-force enumeration values, frozen (see oracles.oracle_functional_complexity)
 P4_COMPLEXITY = 1.4309526058794129
 S5_COMPLEXITY = 2.5691301234794075
-H_QUARTER = 0.8112781244591328  # cross-checked against mpmath at 50 digits
+H_QUARTER = 0.8112781244591328  # cross-checked against decimal at 50 digits
 
 
 def path(n):

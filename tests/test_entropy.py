@@ -1,5 +1,6 @@
 """Spatial entropy rate and excess entropy over channel lattices."""
 
+import decimal
 import math
 
 import numpy as np
@@ -85,14 +86,14 @@ def test_empirical_entropy_matches_closed_form():
 
 
 def test_empirical_entropy_high_precision_cross_check():
-    mp = pytest.importorskip("mpmath")
-    mp.mp.dps = 50
     counts = [3, 5, 7, 11, 13]
     total = sum(counts)
-    acc = mp.mpf(0)
-    for c in counts:
-        p = mp.mpf(c) / total
-        acc -= p * mp.log(p) / mp.log(2)
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        acc = decimal.Decimal(0)
+        for c in counts:
+            p = decimal.Decimal(c) / total
+            acc -= p * p.ln() / decimal.Decimal(2).ln()
     assert abs(plug_in(counts) - float(acc)) < 1e-12
 
 

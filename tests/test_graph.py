@@ -53,6 +53,12 @@ def test_build_rejects_no_nodes():
         build_topology(0, [])
 
 
+def test_build_rejects_non_integral_node():
+    # an integer cast would store the edge (0, 1)
+    with pytest.raises(ValueError, match=r"edge \(0, 1\.5\) has a non-integral node id"):
+        build_topology(3, [(0, 1.5)])
+
+
 def test_build_rejects_self_loop():
     with pytest.raises(ValueError, match="self-loop"):
         build_topology(3, [(1, 1)])

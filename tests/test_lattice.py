@@ -124,6 +124,12 @@ def test_lattice_validates_cell_range():
                        cells=np.array([[0, 1], [2, 0]]))
 
 
+def test_lattice_rejects_non_integral_cells():
+    # an integer cast would store [[0, 1]]
+    with pytest.raises(ValueError, match="cell values must be integers"):
+        ChannelLattice(width=2, height=1, channel_count=3, cells=[[0.5, 1.7]])
+
+
 @pytest.mark.parametrize("fields,message", [
     ({"width": 0}, "bad dimensions 0x2"),
     ({"height": -1}, "bad dimensions 2x-1"),
