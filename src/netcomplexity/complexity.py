@@ -325,10 +325,11 @@ def _subset_source(n: int, size: int, r: int, policy: SamplingPolicy):
 
 def _scale_means(
     adj: np.ndarray, batches, r: int, total_count: int, sampled: bool, first: int = 1
-) -> list[list[MeanInformation]]:
+) -> tuple[np.ndarray, np.ndarray]:
     """The cells at scales first..r over one stream of member batches, for
-    each graph of the (G, n, n) stack adj: entry [k][g] holds scale first+k
-    of graph g."""
+    each graph of the (G, n, n) stack adj: two (r - first + 1, G) arrays,
+    the means and their standard errors, whose entry [k, g] holds scale
+    first+k of graph g."""
     acc = acc_sq = 0.0
     seen = 0
     for members in batches:
@@ -341,13 +342,10 @@ def _scale_means(
             acc_sq = acc_sq + (vals * vals).sum(axis=2)
         seen += len(members)
     assert seen == total_count
-    if sampled:
-        var = np.maximum(acc_sq - acc * acc / seen, 0.0) / (seen - 1)
-        stderrs = np.sqrt(var / seen)
-    else:
-        stderrs = np.zeros_like(acc)
-    return [[MeanInformation(m, e, seen, sampled) for m, e in zip(ms, es)]
-            for ms, es in zip((acc / seen).tolist(), stderrs.tolist())]
+    if not sampled:
+        return acc / seen, np.zeros_like(acc)
+    var = np.maximum(acc_sq - acc * acc / seen, 0.0) / (seen - 1)
+    return acc / seen, np.sqrt(var / seen)
 
 
 def mean_information(
@@ -370,7 +368,8 @@ def mean_information(
     if not (1 + r <= size <= n):
         raise ValueError(f"size {size} outside {1 + r}..{n} for scale r={r}")
     batches, count, sampled = _subset_source(n, size, r, policy)
-    return _scale_means(_dense_adjacency(g)[None], batches, r, count, sampled, r)[0][0]
+    means, stderrs = _scale_means(_dense_adjacency(g)[None], batches, r, count, sampled, r)
+    return MeanInformation(float(means[0, 0]), float(stderrs[0, 0]), count, sampled)
 
 
 # ---------------------------------------------------------------------------
@@ -435,17 +434,18 @@ def functional_complexity(
             # surfaces the same node-pair diagnostic as the metric helpers
             diameter(g)
         diameters.append(diameter(g))
-    means = _block_means(block, diameters, policy)
-    profiles = [_profile(g.node_count, r_max, cells)
-                for g, r_max, cells in zip(block, diameters, means)]
+    means, stderrs, counts, sampled = _block_means(block, diameters, policy)
+    profiles = [_profile(g.node_count, r_max, m, e, counts, sampled)
+                for g, r_max, m, e in zip(block, diameters, means, stderrs)]
     return profiles[0] if single else profiles
 
 
 def _block_means(
     block: list[FunctionalTopology], diameters: list[int], policy: SamplingPolicy
-) -> list[dict[tuple[int, int], MeanInformation]]:
-    """Each graph's (scale, size) cells, keyed (r, size); empty for graphs
-    of diameter < 2.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """means[g, r, size] and stderrs[g, r, size] of graph g in block order,
+    0 outside its cells, and each size's subset_count[size] and
+    sampled[size], which depend only on (n, size) and the policy.
 
     The graphs are stacked in diameter order, so the graphs that need scale
     r of a size, top = min(R - 1, size - 1) >= r, form the tail of the
@@ -455,12 +455,15 @@ def _block_means(
     - a sampled size keeps one draw stream per scale, read once: one job
       per scale r covers the tail whose top reaches r.
     """
-    means: list[dict] = [{} for _ in block]
+    n = block[0].node_count if block else 0
+    means = np.zeros((len(block), max(diameters, default=1), n + 1))
+    stderrs = np.zeros_like(means)
+    counts, sampled = np.zeros(n + 1, dtype=np.int64), np.zeros(n + 1, dtype=bool)
     order = sorted((d, i) for i, d in enumerate(diameters) if d >= 2)
     if not order:
-        return means
-    n = block[0].node_count
-    adj = np.stack([_dense_adjacency(block[i]) for _, i in order])
+        return means, stderrs, counts, sampled
+    index = np.array([i for _, i in order])
+    adj = np.stack([_dense_adjacency(block[i]) for i in index])
     for size in range(2, n + 1):
         tops = [min(d - 1, size - 1) for d, _ in order]
         if policy.sampled(n, size):
@@ -470,36 +473,44 @@ def _block_means(
             jobs = [(1, t, bisect.bisect_left(tops, t), bisect.bisect_right(tops, t))
                     for t in sorted(set(tops))]
         for first, top, lo, hi in jobs:
-            batches, count, sampled = _subset_source(n, size, top, policy)
-            rows = _scale_means(adj[lo:hi], batches, top, count, sampled, first)
-            for r, row in enumerate(rows, first):
-                for (_, i), cell in zip(order[lo:hi], row):
-                    means[i][r, size] = cell
-    return means
+            batches, count, flag = _subset_source(n, size, top, policy)
+            m, e = _scale_means(adj[lo:hi], batches, top, count, flag, first)
+            # the advanced indices lead: entry [g, k] is graph g at scale first+k
+            means[index[lo:hi], first:top + 1, size] = m.T
+            stderrs[index[lo:hi], first:top + 1, size] = e.T
+        counts[size], sampled[size] = count, flag
+    return means, stderrs, counts, sampled
+
+
+@functools.lru_cache(maxsize=None)
+def _cells(n: int, r_max: int) -> np.ndarray:
+    """Read-only (2, cells) array of the scales r = 1..r_max-1 and sizes
+    1+r..n of an n-node graph of diameter r_max, in CSV order."""
+    cells = np.array([(r, size) for r in range(1, r_max)
+                      for size in range(1 + r, n + 1)]).T
+    cells.flags.writeable = False
+    return cells
 
 
 def _profile(
-    n: int, r_max: int, means: dict[tuple[int, int], MeanInformation]
+    n: int, r_max: int, means: np.ndarray, stderrs: np.ndarray,
+    counts: np.ndarray, sampled: np.ndarray,
 ) -> ComplexityProfile:
-    """A graph's profile from its diameter and cell means."""
+    """A graph's profile from its diameter and cell arrays, elementwise over
+    the cells in CSV order (small ints cast exactly to float64), summed left
+    to right by np.add.accumulate, not pairwise as np.sum: the bytes of a
+    scalar loop over r, then size."""
     if r_max < 2:
         return ComplexityProfile(
             diameter=r_max, cells=(), complexity=0.0, degenerate=True,
         )
-    cells: list[ScaleCell] = []
-    total = 0.0
-    for r in range(1, r_max):
-        whole_info = means[r, n].value  # the single full-size subset
-        for size in range(1 + r, n + 1):
-            value, stderr, subset_count, sampled = means[r, size]
-            baseline = (r + 1 - size) / (r + 1 - n) * whole_info
-            deviation = abs(value - baseline)
-            total += deviation
-            cells.append(ScaleCell(r, size, value, baseline, deviation,
-                                   stderr, subset_count, sampled))
-    return ComplexityProfile(
-        diameter=r_max,
-        cells=tuple(cells),
-        complexity=total / (r_max - 1),
-        degenerate=False,
-    )
+    r, size = _cells(n, r_max)
+    value = means[r, size]
+    baseline = (r + 1 - size) / (r + 1 - n) * means[r, n]  # [r, n]: the whole graph
+    deviation = np.abs(value - baseline)
+    cells = map(ScaleCell._make, zip(
+        r.tolist(), size.tolist(), value.tolist(), baseline.tolist(), deviation.tolist(),
+        stderrs[r, size].tolist(), counts[size].tolist(), sampled[size].tolist()))
+    total = float(np.add.accumulate(deviation)[-1])
+    return ComplexityProfile(diameter=r_max, cells=tuple(cells),
+                             complexity=total / (r_max - 1), degenerate=False)

@@ -38,7 +38,7 @@ _FILTER_RETRIES = 200
 
 # graphs per correlation_report task; each task draws its own block, so
 # neither the parent nor a task message holds the whole ensemble
-_REPORT_BLOCK = 32
+_REPORT_BLOCK = 128
 
 
 @dataclass(frozen=True)
@@ -210,7 +210,8 @@ class CorrelationReport:
 
 
 def report_blocks(graph_count: int) -> list[range]:
-    """The contiguous index blocks that correlation_report hands out as tasks."""
+    """The contiguous index blocks of _REPORT_BLOCK graphs that
+    correlation_report hands out as tasks; no row depends on the split."""
     return [range(lo, min(lo + _REPORT_BLOCK, graph_count))
             for lo in range(0, graph_count, _REPORT_BLOCK)]
 

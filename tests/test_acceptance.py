@@ -33,7 +33,7 @@ from netcomplexity import (
 )
 from netcomplexity.cli import main as cli_main
 from netcomplexity.entropy import _entropy_of_count_vector
-from netcomplexity.harness import report_blocks
+from netcomplexity.harness import _REPORT_BLOCK, report_blocks
 
 from oracles import oracle_functional_complexity, oracle_repair_distance
 
@@ -327,7 +327,7 @@ def test_criterion_10_cli_worker_determinism(tmp_path):
     graph.write_text("N 4 undirected\n0 1\n1 2\n2 3\n", encoding="utf-8")
     # correlate's pool tasks are blocks of graphs: at least three, the last
     # one short, so workers 8 starts a pool and joins uneven blocks
-    graphs = 80
+    graphs = 2 * _REPORT_BLOCK + 17
     blocks = report_blocks(graphs)
     assert len(blocks) >= 3 and len(blocks[-1]) < len(blocks[0])
     commands = {

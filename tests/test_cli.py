@@ -17,6 +17,7 @@ from netcomplexity import (
 )
 from netcomplexity import cli
 from netcomplexity.cli import main
+from netcomplexity.harness import _REPORT_BLOCK
 
 from test_complexity import P4_COMPLEXITY
 from test_entropy import bounded_offsets
@@ -872,8 +873,9 @@ class FakePool:
     (("abm", "--seeds", "5", "--workers", 4), 64, []),
     (("son-stability", "--dims", "4x4", "--instances", 3, "--budget", 1,
       "--cell-sample", 1, "--channel-sample", 1, "--workers", 10000), 64, [3]),
-    # correlate's tasks are blocks of graphs: 70 graphs make 3 blocks
-    (("correlate", "--graphs", 70, "--nodes", 6, "--workers", 10000), 64, [3]),
+    # correlate's tasks are blocks of graphs: 3 blocks, the last one short
+    (("correlate", "--graphs", 2 * _REPORT_BLOCK + 17, "--nodes", 6,
+      "--workers", 10000), 64, [3]),
 ])
 def test_pool_size_is_clamped_to_tasks_and_cpus(tmp_path, monkeypatch,
                                                 argv, cpus, sizes):
@@ -890,7 +892,9 @@ def test_pool_size_is_clamped_to_tasks_and_cpus(tmp_path, monkeypatch,
 
 
 @pytest.mark.parametrize("argv,affinity,sizes", [
-    (("correlate", "--graphs", 70, "--nodes", 6, "--workers", 8), {0}, []),
+    # 3 blocks of graphs, so only the single CPU keeps the pool from starting
+    (("correlate", "--graphs", 2 * _REPORT_BLOCK + 17, "--nodes", 6,
+      "--workers", 8), {0}, []),
     (("abm", "--seeds", "1..8", "--iterations", 5, "--workers", 8), {0}, []),
     (("abm", "--seeds", "1..8", "--iterations", 5, "--workers", 8), {1, 5, 7}, [3]),
 ])

@@ -633,6 +633,29 @@ def test_stacked_kernel_equals_oracle_kernel(directed, monkeypatch):
                         assert np.array_equal(got[:, g], ref[first - 1:r]), (n, size, rows, r)
 
 
+@pytest.mark.parametrize("pol", [
+    SamplingPolicy(),
+    # C(8, j) > 40 samples sizes 4, 5 and 6
+    SamplingPolicy(sample_count=30, exhaustive_limit=40, seed=4),
+], ids=["exhaustive", "sampled"])
+def test_block_arrays_give_each_graph_its_own_profile(pol):
+    # complete graphs (no cells), diameter-2 graphs and paths in one block:
+    # each profile is the one-graph profile field for field, with the same
+    # Python types, as repr shows
+    block = [complete(8), star(8), path(8), graph_of_diameter(8, 2), complete(8), path(8)]
+    profiles = functional_complexity(block, pol)
+    assert [p.diameter for p in profiles] == [1, 2, 7, 2, 1, 7]
+    assert {c.sampled for p in profiles for c in p.cells} == {False, pol.exhaustive_limit < 70}
+    for g, prof in zip(block, profiles, strict=True):
+        alone = functional_complexity(g, pol)
+        assert prof == alone and repr(prof) == repr(alone)
+        assert profile_key(prof) == oracle_key(g, pol)
+        if prof.diameter == 1:
+            assert prof.degenerate and prof.cells == () and prof.complexity == 0.0
+    for sub in ([complete(8)], [complete(8), complete(8)], [star(8)]):
+        assert functional_complexity(sub, pol) == [functional_complexity(g, pol) for g in sub]
+
+
 def test_block_needs_one_node_count():
     with pytest.raises(ValueError, match="one node count"):
         functional_complexity([path(5), path(6)])

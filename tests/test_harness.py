@@ -311,6 +311,25 @@ def test_report_hands_out_one_task_per_block():
         assert row.clustering_coefficient == clustering_coefficient(g)
 
 
+@pytest.mark.parametrize("nodes,policy", [
+    (10, SamplingPolicy(seed=11)),  # correlate's default ensemble
+    (14, SamplingPolicy(sample_count=200, exhaustive_limit=500, seed=11)),
+], ids=["exhaustive", "sampled"])
+def test_report_does_not_depend_on_block_size(monkeypatch, nodes, policy):
+    # the rows and the footer are the same however the ensemble is split
+    # into blocks, from one graph per block to one block for all
+    graphs = 200
+    spec = er_spec(node_count=nodes, graph_count=graphs, seed=11, edge_probability=0.35)
+    assert policy.sampled(nodes, nodes // 2) == (nodes > 10)
+    reports = []
+    for block in (1, 7, 32, 128, graphs):
+        monkeypatch.setattr(harness, "_REPORT_BLOCK", block)
+        assert len(harness.report_blocks(graphs)) == math.ceil(graphs / block)
+        report = correlation_report(spec, policy)
+        reports.append((report.rows, report.correlations, report.flags))
+    assert all(report == reports[0] for report in reports)
+
+
 def _fork_pool_map(fn, items):
     # fork, so the workers see the monkeypatched module
     with ProcessPoolExecutor(2, mp_context=multiprocessing.get_context("fork")) as pool:
