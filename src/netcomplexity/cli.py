@@ -11,8 +11,10 @@ gives the flags, the keys a --config file may set, the type and choice
 checks applied to flag and config values alike, and the parameter block of
 the header.
 
-Exit codes: 0 success, 1 unreadable/unparsable input, 2 violated
-precondition or invalid configuration.
+Exit codes: 0 success, 1 unreadable/unparsable input or a pool worker
+that died, 2 violated precondition or invalid configuration.  abm writes
+each scenario's rows as the scenario finishes, so a run that fails partway
+leaves a file without its "# summary:" block.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import json
 import os
 import sys
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable
@@ -67,12 +69,16 @@ from .lattice import (
 SAMPLING_MODES = ("exhaustive", "uniform-sample")
 
 # Size ceilings, each checked before anything of that size is built.  Each
-# admits every documented run; runs near them peaked at 0.3-0.7 GB, where an
-# unbounded size ends in MemoryError or runs for hours.
+# admits every documented run.  Runs near the lattice, pooled-cell and node
+# ceilings peaked at 0.3-0.7 GB, where an unbounded size ends in MemoryError
+# or runs for hours.  abm writes each scenario's rows as it finishes, so its
+# ceilings bound run time and output size, not memory: at the seed ceiling
+# and 2000 iterations, the CLI process peaked at 34.9 MB and its 2 pool
+# workers at 33.2 MB, in 62 s on a 2-CPU Xeon VM.
 LATTICE_CELL_CEILING = 1 << 20  # cells of one --dims lattice
 POOLED_CELL_CEILING = 1 << 24  # excess-entropy cells over all its lattices
 NODE_CEILING = 512  # correlate --nodes
-SEED_COUNT_CEILING = 1024  # abm --seeds: about 0.5 GB of trace at 2000 iterations
+SEED_COUNT_CEILING = 1024  # abm --seeds: 42 MB of output at 2000 iterations
 # Count ceilings, each checked before the first graph, draw or scenario.
 # Each admits a run of up to about an hour on one core of a 2-CPU Xeon VM;
 # an unbounded count such as 10**20 ran until it was killed.
@@ -417,7 +423,8 @@ def _output(path: str | None):
 def _write_csv(args, params: dict, columns, rows, summary=()) -> None:
     """Provenance header, CSV table and summary lines, to --out or stdout.
     csv.writer writes floats by repr, so they round-trip, and None as an
-    empty cell."""
+    empty cell.  rows and summary may be lazy: each row is written as it is
+    read, and summary is read only after the last row."""
     with _output(args.out) as fh:
         for line in _provenance(args.command, params):
             fh.write(line + "\n")
@@ -440,15 +447,20 @@ def _mapper(workers: int):
     """A map(fn, tasks) that runs a process pool of min(workers, len(tasks),
     usable CPUs) workers, or is the builtin map when that is below 2.
 
-    The size is clamped before the pool exists: under the fork start method
-    the pool forks all max_workers processes at its first submit.
+    Its result is a lazy iterator over the results in task order: the pool
+    starts at the first read and lives until the iterator is exhausted or
+    closed, so a caller that drops each result once read holds only the
+    results in flight.  The size is clamped before the pool exists: under
+    the fork start method the pool forks all max_workers processes at its
+    first submit.
     """
     def pool_map(fn, tasks):
         size = min(workers, len(tasks), _usable_cpus())
         if size < 2:
-            return map(fn, tasks)
-        with ProcessPoolExecutor(max_workers=size) as pool:
-            return list(pool.map(fn, tasks))
+            yield from map(fn, tasks)
+        else:
+            with ProcessPoolExecutor(max_workers=size) as pool:
+                yield from pool.map(fn, tasks)
     return pool_map
 
 
@@ -614,25 +626,31 @@ def cmd_abm(args) -> int:
     _check_total("MAC slot", rows * params["slots_per_iteration"], MAC_SLOT_CEILING)
     scenario = {key: value for key, value in params.items() if key != "seeds"}
 
+    # every config is checked before the output file is opened
     configs = [ScenarioConfig(**scenario, seed=s) for s in params["seeds"]]
-    results = list(_mapper(args.workers)(run_scenario, configs))
+    seed_lines, gaps = ["# summary:"], []
 
-    rows = [(res.config.seed, *rec) for res in results for rec in res.trace]
-    summary = ["# summary:"]
-    for res in results:
-        summary.append(
-            f"# seed {res.config.seed}: mean_gap={res.mean_gap!r} "
-            f"delivery_ratio={res.delivery_ratio!r} "
-            f"collision_rate={res.collision_rate!r} "
-            f"created={res.created} departed={res.departed} "
-            f"remaining={res.remaining} blocked_arrivals={res.blocked_arrivals} "
-            f"reports={res.reports_generated}"
-        )
-    grand, spread = mean_and_stderr([res.mean_gap for res in results])
-    summary.append(
-        f"# aggregate: seeds={len(results)} mean_gap={grand!r} stderr={spread!r}"
-    )
-    _write_csv(args, params, ("seed", *PerceptionRecord._fields), rows, summary)
+    def rows():
+        # each result is written as it arrives, then dropped
+        for res in _mapper(args.workers)(run_scenario, configs):
+            seed_lines.append(
+                f"# seed {res.config.seed}: mean_gap={res.mean_gap!r} "
+                f"delivery_ratio={res.delivery_ratio!r} "
+                f"collision_rate={res.collision_rate!r} "
+                f"created={res.created} departed={res.departed} "
+                f"remaining={res.remaining} blocked_arrivals={res.blocked_arrivals} "
+                f"reports={res.reports_generated}"
+            )
+            gaps.append(res.mean_gap)
+            yield from ((res.config.seed, *rec) for rec in res.trace)
+
+    def summary():
+        # read after every row, so it sees every seed
+        yield from seed_lines
+        grand, spread = mean_and_stderr(gaps)
+        yield f"# aggregate: seeds={len(gaps)} mean_gap={grand!r} stderr={spread!r}"
+
+    _write_csv(args, params, ("seed", *PerceptionRecord._fields), rows(), summary())
     return 0
 
 
@@ -743,7 +761,8 @@ def main(argv=None) -> int:
         return 0 if exc.code in (0, None) else 1
     try:
         return args.func(args)
-    except (InputFormatError, OSError) as exc:
+    except (InputFormatError, OSError, BrokenExecutor) as exc:
+        # BrokenExecutor: a pool worker died, so its task has no result
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except ValueError as exc:

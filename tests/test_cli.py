@@ -1,10 +1,12 @@
 """CLI surface: exit codes, provenance headers, byte-identical reruns."""
 
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
 import types
+import weakref
 from pathlib import Path
 
 import pytest
@@ -740,6 +742,62 @@ def test_abm_config_takes_seed_text_and_integer_for_float(tmp_path):
     params = json.loads(header[2][len("# config: "):])
     assert params["seeds"] == [4, 5]
     assert repr(params["arrival_probability"]) == "0.0"
+
+
+def test_abm_failure_partway_leaves_rows_without_summary(tmp_path, monkeypatch, capsys):
+    argv = ("abm", "--iterations", 10, "--seeds", "1..4", "--workers", 1)
+    full = tmp_path / "full.csv"
+    assert run_cli(*argv, "--out", full) == 0
+
+    def fail_on_third_seed(config):
+        if config.seed == 3:
+            raise ValueError("third seed failed")
+        return run_scenario(config)
+
+    monkeypatch.setattr(cli, "run_scenario", fail_on_third_seed)
+    cut = tmp_path / "cut.csv"
+    assert run_cli(*argv, "--out", cut) == 2
+    assert "error: third seed failed" in capsys.readouterr().err
+    # the header and the first two seeds' rows, streamed before the failure
+    header, rows, summary = parse_output(cut)
+    assert len(header) == 4 and summary == []
+    assert [line[0] for line in rows[1:]] == ["1"] * 10 + ["2"] * 10
+    assert full.read_bytes().startswith(cut.read_bytes())
+
+
+def test_abm_holds_one_result_at_a_time(tmp_path, monkeypatch):
+    alive = weakref.WeakSet()
+    earlier = []
+
+    def tracked(config):
+        earlier.append(len(alive))
+        result = run_scenario(config)
+        alive.add(result)
+        return result
+
+    monkeypatch.setattr(cli, "run_scenario", tracked)
+    assert run_cli("abm", "--iterations", 20, "--seeds", "1..6", "--workers", 1,
+                   "--out", tmp_path / "out.csv") == 0
+    # each result is written and dropped before the next scenario runs
+    assert len(earlier) == 6 and max(earlier) <= 1
+
+
+def _exit_on_seed_three(config):
+    """run_scenario, except that the worker process dies on seed 3."""
+    if config.seed == 3:
+        os._exit(9)
+    return run_scenario(config)
+
+
+@pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                    reason="pool workers inherit the patched run_scenario only by fork")
+def test_abm_dead_pool_worker_exits_one(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "run_scenario", _exit_on_seed_three)
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+    assert run_cli("abm", "--iterations", 50, "--seeds", "1..4", "--workers", 2,
+                   "--out", tmp_path / "out.csv") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
 
 
 # ---------------------------------------------------------------------------
