@@ -12,7 +12,9 @@ checks applied to flag and config values alike, and the parameter block of
 the header.
 
 Exit codes: 0 success, 1 unreadable/unparsable input or a pool worker
-that died, 2 violated precondition or invalid configuration.  abm writes
+that died, 2 violated precondition or invalid configuration, 141 (128 +
+SIGPIPE, as a shell shows for a process SIGPIPE ends) a reader that closed
+the output pipe early, with nothing printed.  abm writes
 each scenario's rows as the scenario finishes, so a run that fails partway
 leaves a file without its "# summary:" block.
 """
@@ -761,6 +763,11 @@ def main(argv=None) -> int:
         return 0 if exc.code in (0, None) else 1
     try:
         return args.func(args)
+    except BrokenPipeError:
+        # the reader closed its end: not an error of the input.  fd 1 goes to
+        # devnull so the interpreter's final flush cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (InputFormatError, OSError, BrokenExecutor) as exc:
         # BrokenExecutor: a pool worker died, so its task has no result
         print(f"error: {exc}", file=sys.stderr)

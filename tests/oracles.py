@@ -12,7 +12,9 @@ profile, which block scoring must reproduce bit for bit.  The subset-draw
 oracle calls random.sample once per subset, which the production draw loop
 must match row for row.  The ensemble oracle draws each graph with
 networkx's own generators, whose calls on random.Random the production
-sampler replays.  Slow and obvious beats fast and clever here.
+sampler replays.  The traffic-world check wraps the production step and
+recounts the grid literally after every iteration.  Slow and obvious beats
+fast and clever here.
 """
 
 from __future__ import annotations
@@ -24,6 +26,8 @@ from fractions import Fraction
 
 import networkx as nx
 import numpy as np
+
+from netcomplexity.abm import TrafficWorld
 
 
 # ---------------------------------------------------------------------------
@@ -433,3 +437,29 @@ class OracleMacChannel:
         self.ongoing = keep
         self.slot += 1
         return deliveries, collisions
+
+
+# ---------------------------------------------------------------------------
+# traffic world
+
+
+def check_world_invariants(monkeypatch) -> None:
+    """Wrap TrafficWorld.step so that every later step checks the grid it
+    leaves: the cars on it are exactly those created and not departed, and
+    no car sits on two cells.  Outside step, an iteration of run_scenario
+    changes only the light, so every state a scenario reaches is checked."""
+    step = TrafficWorld.step
+
+    def checked(world) -> None:
+        step(world)
+        it = world.iteration - 1
+        cars = [car for car in world.cells if car is not None]
+        if len(cars) != world.created - world.departed:
+            raise AssertionError(
+                f"conservation violated at iteration {it}: {len(cars)} on grid, "
+                f"{world.created} created, {world.departed} departed"
+            )
+        if len({car.ident for car in cars}) != len(cars):
+            raise AssertionError(f"duplicate car placement at iteration {it}")
+
+    monkeypatch.setattr(TrafficWorld, "step", checked)

@@ -25,7 +25,7 @@ from netcomplexity.abm import (
     run_scenario,
 )
 
-from oracles import OracleMacChannel
+from oracles import OracleMacChannel, check_world_invariants
 
 # the MAC comparison settings, as `abm` flags in criterion 09: with 1-slot
 # messages and persistence 1, the per-flag defaults, Aloha and CSMA coincide
@@ -188,12 +188,36 @@ def test_fresh_arrival_sits_out_the_movement_phase():
         assert world.cells[world.paths[lane][1]] is None
 
 
-def test_conservation_and_occupancy_under_load():
-    res = run_scenario(
-        ScenarioConfig(iterations=600, mac="ideal", seed=4), check_invariants=True
-    )
+def test_conservation_and_occupancy_under_load(monkeypatch):
+    check_world_invariants(monkeypatch)
+    res = run_scenario(ScenarioConfig(iterations=600, mac="ideal", seed=4))
     assert res.created == res.departed + res.remaining
     assert res.created + res.blocked_arrivals >= res.created
+
+
+@pytest.mark.parametrize("keep_count, message", [
+    (False, "conservation violated at iteration 50: "),
+    (True, "duplicate car placement at iteration 50$"),
+])
+def test_world_check_names_the_broken_iteration(monkeypatch, keep_count, message):
+    # at iteration 50 one car is copied onto a free cell; keep_count also
+    # takes another car off the grid, so the number on it stays right and
+    # only the duplicate is left to find
+    step = TrafficWorld.step
+
+    def broken(world):
+        step(world)
+        if world.iteration - 1 == 50:
+            cells = world.cells
+            occupied = [k for k, car in enumerate(cells) if car is not None]
+            cells[cells.index(None)] = cells[occupied[0]]
+            if keep_count:
+                cells[occupied[1]] = None
+
+    monkeypatch.setattr(TrafficWorld, "step", broken)
+    check_world_invariants(monkeypatch)
+    with pytest.raises(AssertionError, match=message):
+        run_scenario(ScenarioConfig(iterations=100, mac="ideal", seed=4))
 
 
 def test_box_paths_cover_the_shared_block():
@@ -477,10 +501,10 @@ def test_queue_phase_rules():
     assert queue_phase("v", 10, {"h": 7, "v": 2}, 5) == "h"
 
 
-def test_queue_policy_scenario_runs_clean():
+def test_queue_policy_scenario_runs_clean(monkeypatch):
+    check_world_invariants(monkeypatch)
     res = run_scenario(
-        ScenarioConfig(iterations=400, mac="ideal", light_policy="queue", seed=2),
-        check_invariants=True,
+        ScenarioConfig(iterations=400, mac="ideal", light_policy="queue", seed=2)
     )
     assert all(row.gap == 0 for row in res.trace)
 

@@ -7,7 +7,9 @@ failure when the measured direction disagrees with the expectation, since
 the generating algorithms are reconstructions.
 """
 
+import json
 import math
+import multiprocessing
 import time
 
 import numpy as np
@@ -31,11 +33,17 @@ from netcomplexity import (
     son_allocate,
     stability_experiment,
 )
+from netcomplexity import cli
 from netcomplexity.cli import main as cli_main
 from netcomplexity.entropy import _entropy_of_count_vector
 from netcomplexity.harness import _REPORT_BLOCK, report_blocks
 
-from oracles import oracle_functional_complexity, oracle_repair_distance
+from oracles import (
+    check_world_invariants,
+    oracle_functional_complexity,
+    oracle_repair_distance,
+)
+from test_cli import run_python
 
 
 def _report(num, ok, detail):
@@ -286,13 +294,12 @@ def test_criterion_09_abm_soundness(tmp_path):
     t0 = time.perf_counter()
     total_steps = 0
     gap_zero = True
-    for s in range(30):
-        res = run_scenario(
-            ScenarioConfig(iterations=3334, mac="ideal", seed=s),
-            check_invariants=True,
-        )
-        total_steps += res.config.iterations
-        gap_zero &= all(rec.gap == 0 for rec in res.trace)
+    with pytest.MonkeyPatch.context() as patch:
+        check_world_invariants(patch)
+        for s in range(30):
+            res = run_scenario(ScenarioConfig(iterations=3334, mac="ideal", seed=s))
+            total_steps += res.config.iterations
+            gap_zero &= all(rec.gap == 0 for rec in res.trace)
     # the MACs compared over seeds 0..29 through the CLI, at the settings
     # where they differ (the per-flag defaults make them coincide); each
     # run's aggregate line holds the mean over seeds and its standard error
@@ -356,3 +363,39 @@ def test_criterion_10_cli_worker_determinism(tmp_path):
     ok = not mismatched
     _report(10, ok, f"all 6 subcommands byte-identical at workers 1 vs 8"
                     f"{'' if ok else f' except {mismatched}'}, {elapsed:.0f}s")
+
+
+def test_pooled_bytes_under_every_start_method(tmp_path, monkeypatch):
+    # each pooled subcommand at --workers 2 in a child interpreter that sets
+    # the start method first, against the default method's bytes; correlate
+    # runs three blocks, the last one short
+    graphs = 2 * _REPORT_BLOCK + 17
+    commands = {
+        "correlate": ["correlate", "--graphs", str(graphs), "--nodes", "8"],
+        "abm": ["abm", "--iterations", "200", "--seeds", "1..8"],
+        "son-stability": ["son-stability", "--dims", "6x6", "--channels", "5",
+                          "--instances", "4", "--budget", "3"],
+    }
+    # two workers even on a host that offers one CPU, so a pool starts
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+    expected = {}
+    for name, argv in commands.items():
+        out = tmp_path / f"default-{name}.csv"
+        assert cli_main(argv + ["--workers", "2", "--out", str(out)]) == 0
+        expected[name] = out.read_bytes()
+    script = (
+        "import json, multiprocessing, sys; "
+        "multiprocessing.set_start_method(sys.argv[1]); "
+        "from netcomplexity import cli; "
+        "cli._usable_cpus = lambda: 2; "
+        "sys.exit(max(cli.main(argv) for argv in json.loads(sys.argv[2])))"
+    )
+    for method in multiprocessing.get_all_start_methods():
+        runs = [argv + ["--workers", "2", "--out", str(tmp_path / f"{method}-{name}.csv")]
+                for name, argv in commands.items()]
+        proc = run_python("-c", script, method, json.dumps(runs),
+                          capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, (method, proc.stderr)
+        for name in commands:
+            assert (tmp_path / f"{method}-{name}.csv").read_bytes() == expected[name], (
+                method, name)

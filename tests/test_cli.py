@@ -32,15 +32,20 @@ def run_cli(*argv):
     return main([str(a) for a in argv])
 
 
+def child_env() -> dict:
+    """The environment of a child interpreter.  pytest's pythonpath setting
+    does not reach a child's environment, so the child's PYTHONPATH starts
+    with the directory this suite imports netcomplexity from.  One BLAS
+    thread keeps OpenBLAS's per-thread buffers out of a limited address
+    space."""
+    path = os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))
+    return dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=path)
+
+
 def run_python(*args, **kwargs):
     """subprocess.run of this interpreter on args, keyword arguments passed
-    on.  pytest's pythonpath setting does not reach a child's environment,
-    so the child's PYTHONPATH starts with the directory this suite imports
-    netcomplexity from.  One BLAS thread keeps OpenBLAS's per-thread
-    buffers out of a limited address space."""
-    path = os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=path)
-    return subprocess.run([sys.executable, *args], env=env, **kwargs)
+    on, in child_env()."""
+    return subprocess.run([sys.executable, *args], env=child_env(), **kwargs)
 
 
 def run_bounded(argv, limit=None, timeout=60, text=False):
@@ -114,7 +119,7 @@ def test_every_output_starts_with_provenance(tmp_path):
     out = tmp_path / "out.csv"
     assert run_cli("cfc", "--graph", graph, "--out", out) == 0
     header, _, _ = parse_output(out)
-    assert header[0] == "# tool: netcomplexity 0.1.0"
+    assert header[0] == f"# tool: netcomplexity {netcomplexity.__version__}"
     assert header[1] == "# command: cfc"
     assert header[2].startswith("# config: {")
     assert header[3] == "# seed: 0"
@@ -266,7 +271,7 @@ def test_module_entry_point_runs():
     proc = run_python("-m", "netcomplexity", "--version",
                       capture_output=True, text=True)
     assert proc.returncode == 0
-    assert "netcomplexity 0.1.0" in proc.stdout
+    assert proc.stdout == f"netcomplexity {netcomplexity.__version__}\n"
 
 
 def test_all_lists_the_public_bindings():
@@ -800,6 +805,35 @@ def test_abm_dead_pool_worker_exits_one(tmp_path, monkeypatch, capsys):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+def test_closed_stdout_pipe_exits_141_quietly():
+    # a reader that stops early, as `| head -n 2` does.  The 16,000 rows
+    # overfill any pipe buffer, so the CLI is still writing when the pipe
+    # closes
+    argv = ("abm", "--iterations", "2000", "--seeds", "1..8", "--workers", "2")
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "netcomplexity", *argv],
+        env=child_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    try:
+        assert proc.stdout.readline().startswith(b"# tool: ")
+        proc.stdout.readline()
+        proc.stdout.close()
+        assert proc.wait(timeout=60) == 141
+        assert proc.stderr.read() == b""
+    finally:
+        proc.kill()
+        proc.wait()
+        proc.stderr.close()
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_write_error_on_out_file_exits_one(capsys):
+    # every write to /dev/full fails with ENOSPC: an error of the output,
+    # not a reader that left
+    assert run_cli("abm", "--iterations", 5, "--seeds", "1", "--out", "/dev/full") == 1
+    assert capsys.readouterr().err.startswith("error: [Errno 28]")
+
+
 # ---------------------------------------------------------------------------
 # correlate
 
@@ -1030,17 +1064,18 @@ PINNED_RUNS = (
                               "--seed", 5, "--out", "corr-er.csv")),
 )
 
+# sha256 of each file after its first line, the "# tool:" line
 PINNED_SHA256 = {
-    "cfc": "88636f5e42d01a3bc15444cc7eacda1396fdf3b6cc13bdf078cc83cef562ec4e",
-    "cfc-directed": "cd6e85834b1759ecfe77728ea39eee784d5f610510aadc34cec012ae430d2cb6",
-    "son-run": "409989f3ae1cebd7da180546b2515d4888fecdb2f598e353fdace107785645b3",
-    "son-stability": "7465bcef0d9ea421e91b1549cc19a7649c3f902d2e29e9a2483e23b578e8b7e8",
-    "excess-entropy-iid": "59f5bb064d2794555ccc23f139d25e89ad1a423f8acc435245798d6299692944",
-    "excess-entropy-son": "1afec31f12771e90905877c6e6c45a3a18ff6fe8a33d9adf8ece029c246eec74",
-    "excess-entropy-files": "b95f7859eb3892cc356671e1b70d5f7d918222dd854e66e33a41308647836073",
-    "abm": "1ce04dea92f55fa62cc0e65866aee7b5024677b86a17f94a5de8920b9f7dbdd7",
-    "correlate": "f447ae9827bd30b4945112a18de79a1994ef368a4a70258b627e133b3a161bb8",
-    "correlate-exhaustive": "6872063c619f6a2faa58b1bac87a2be5a10f1dc6a4ad760d32c971f994cf3f40",
+    "cfc": "49cd57e2c72fcfe92478f44d2167358f685c4bc86bd3ef7496092cbcaaaaf657",
+    "cfc-directed": "cdaf0607aeaaf5bc9514432d493e6d5f33d77dfdb55e3cf6bd1670663527b122",
+    "son-run": "199ac6c26b1c1dfeb43aee9ecb3e7ce41d59fd4af241e6e61072c0236db9a8e6",
+    "son-stability": "ea15a1ebbdc517ce8cc2350a2cd56e7d43cf294711540872ddfe683426bfaedc",
+    "excess-entropy-iid": "e6f1654483566bbd367e8d97643aaaf7cc49dc5b2a6f89fb3ad155bb76474700",
+    "excess-entropy-son": "4965b05eec68b1b8859abd88870bc5a73a191cf8e3cc5753e131e74e6c515314",
+    "excess-entropy-files": "2303323469507dd2bbf20f064ff2293c26a4186c2b2ae154de32966b0f29d45b",
+    "abm": "24740bb3bffe621e8a5c1d7e6784efd20a2caef3f4435a78fe018fc0661f176b",
+    "correlate": "1c09da722ed3b559ed9c6f11ae042770021456245037d8aa3fb4ec2a462f0046",
+    "correlate-exhaustive": "4f251dc23cbf47eba04d7d296f5b01900e146fab7165d546e77bb61f185b22ab",
 }
 
 
@@ -1054,7 +1089,10 @@ def test_pinned_outputs_and_config_round_trip(tmp_path, monkeypatch):
         assert run_cli(*argv) == 0, name
         out = argv[-1]
         data = (tmp_path / out).read_bytes()
-        assert hashlib.sha256(data).hexdigest() == PINNED_SHA256[name], name
+        # the digest leaves out the tool line, which names the version
+        tool, _, body = data.partition(b"\n")
+        assert tool.decode() == f"# tool: netcomplexity {netcomplexity.__version__}"
+        assert hashlib.sha256(body).hexdigest() == PINNED_SHA256[name], name
         # the header's resolved config, fed back as --config, is the same run
         config_line = next(
             line for line in data.decode().splitlines()
